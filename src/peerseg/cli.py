@@ -23,8 +23,8 @@ import numpy as np
 from . import trainer as trainer_mod
 from .errors import ConfigError, FormatError, NumericError
 from .model import load_checkpoint, save_checkpoint
-from .scans import (PointScan, SceneConfig, SensorSpec, generate_dataset, read_scan,
-                    split_dataset, write_scan)
+from .scans import (UNLABELLED, PointScan, SceneConfig, SensorSpec, generate_dataset,
+                    read_scan, split_dataset, write_scan)
 from .trainer import TrainConfig
 
 MANIFEST_NAME = "manifest.json"
@@ -205,8 +205,6 @@ def _cmd_train(args) -> int:
     train_cfg: TrainConfig = cfgs["train"]
     if args.seed is not None:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    if args.threads is not None:
-        train_cfg = dataclasses.replace(train_cfg, threads=args.threads)
 
     manifest = read_manifest(args.data)
     labelled = _load_split(args.data, manifest, "labelled")
@@ -239,18 +237,19 @@ def _cmd_eval(args) -> int:
     scans = _load_split(args.data, manifest, args.split)
     if not scans:
         raise FormatError(f"manifest lists no {args.split!r} scans")
+    if all((scan.labels == UNLABELLED).all() for scan in scans):
+        raise FormatError(f"the {args.split!r} scans have no labelled point to score")
     result = trainer_mod.evaluate(state, manifest["sensor"], scans,
-                                  protocol=args.protocol, include_fused=args.fused,
-                                  threads=args.threads or 1)
-    print(json.dumps(result, indent=2))
+                                  protocol=args.protocol, include_fused=args.fused)
+    # NaN, the IoU of a class absent from truth and prediction, is not JSON: print null
+    result = json.loads(json.dumps(result), parse_constant=lambda _: None)
+    print(json.dumps(result, indent=2, allow_nan=False))
     return 0
 
 
 def _cmd_ablate(args) -> int:
     cfgs = load_config(args.config)
     train_cfg: TrainConfig = cfgs["train"]
-    if args.threads is not None:
-        train_cfg = dataclasses.replace(train_cfg, threads=args.threads)
     if args.seeds is not None:
         try:
             seeds = tuple(int(s) for s in args.seeds.split(","))
@@ -311,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True, help="output directory")
     tr.add_argument("--config", help="INI settings file")
     tr.add_argument("--seed", type=int, help="override the training seed")
-    tr.add_argument("--threads", type=int, help="projection worker threads")
     tr.set_defaults(func=_cmd_train)
 
     ev = sub.add_parser("eval", help="score a checkpoint on labelled scans")
@@ -320,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--split", default="eval", choices=["labelled", "unlabelled", "eval"])
     ev.add_argument("--protocol", default="global", choices=["global", "batchwise"])
     ev.add_argument("--fused", action="store_true", help="also score the fused prediction")
-    ev.add_argument("--seed", type=int, help="accepted for interface symmetry; scoring "
-                                            "is deterministic")
-    ev.add_argument("--threads", type=int, help="projection worker threads")
     ev.set_defaults(func=_cmd_eval)
 
     ab = sub.add_parser("ablate", help="train every component-toggle row")
@@ -332,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     ab.add_argument("--seeds", help="comma-separated training seeds (default 0,1,2)")
     ab.add_argument("--seed", type=int,
                     help="base seed; used as (seed, seed+1, seed+2) unless --seeds is given")
-    ab.add_argument("--threads", type=int, help="projection worker threads")
     ab.set_defaults(func=_cmd_ablate)
     return parser
 

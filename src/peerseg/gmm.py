@@ -2,14 +2,12 @@
 
 Every class keeps an M-component full-covariance mixture over the
 embedding space, with priors fixed at 1/M.  Fitting is confidence-weighted
-EM: responsibilities q[n, m] come from the usual E step, and the default M
-step normalizes by the effective weight sum_n c[n] * q[n, m], which is
+EM: responsibilities q[n, m] come from the usual E step, and the M step
+normalizes by the effective weight sum_n c[n] * q[n, m], which is
 ordinary EM on fractionally weighted samples and therefore ascends the
-weighted log likelihood sum_n c[n] * log p(z[n]).  A "literal" M step that
-divides by the sample count instead (and so is not an ascent step) is kept
-behind a flag for comparison.  Updated covariances are symmetrized and
-their eigenvalues floored at eps, which keeps them safely positive
-definite without giving up exact likelihood ascent.
+weighted log likelihood sum_n c[n] * log p(z[n]).  Updated covariances
+are symmetrized and their eigenvalues floored at eps, which keeps them
+safely positive definite without giving up exact likelihood ascent.
 
 A slow exponential-moving-average shadow of each class's parameters is the
 distribution prototypes are sampled from; the live parameters chase the
@@ -24,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import NumericError
+from .errors import FormatError, NumericError
 
 VIEW_RANGE = 0
 VIEW_VOXEL = 1
@@ -165,18 +163,14 @@ def _init_class(bank: GmmBank, y: int, z: np.ndarray, rng) -> None:
     bank.initialized[y] = True
 
 
-def em_update(bank: GmmBank, sets: dict, num_iters: int = 1, rng=None,
-              mode: str = "default") -> GmmBank:
+def em_update(bank: GmmBank, sets: dict, num_iters: int = 1, rng=None) -> GmmBank:
     """Confidence-weighted EM over the supplied per-class sample sets.
 
     Classes with fewer samples than components are skipped.  A class seen
     for the first time is seeded with k-means++ centers (rng required) and
-    the class sample covariance.  mode="default" normalizes the M step by
-    the effective weights (likelihood ascent); mode="literal" divides by
-    the sample count instead.
+    the class sample covariance.  The M step normalizes by the effective
+    weights, so each iteration ascends the weighted likelihood.
     """
-    if mode not in ("default", "literal"):
-        raise ValueError(f"unknown EM mode {mode!r}")
     for y in sorted(sets):
         samples = sets[y]
         z, conf = np.asarray(samples.z, dtype=np.float64), np.asarray(samples.conf, dtype=np.float64)
@@ -190,13 +184,12 @@ def em_update(bank: GmmBank, sets: dict, num_iters: int = 1, rng=None,
             q = responsibilities(bank, y, z)
             w = conf[:, None] * q                      # (n, M) effective weights
             denom = w.sum(axis=0)                      # (M,)
-            scale = denom if mode == "default" else np.full(bank.num_components, z.shape[0])
             for j in range(bank.num_components):
                 if denom[j] <= 1e-12:
                     continue  # component momentarily owns no mass; keep it
-                mu = (w[:, j] @ z) / scale[j]
+                mu = (w[:, j] @ z) / denom[j]
                 diff = z - mu
-                cov = (w[:, j, None] * diff).T @ diff / scale[j]
+                cov = (w[:, j, None] * diff).T @ diff / denom[j]
                 bank.means[y, j] = mu
                 bank.covs[y, j] = _floor_eigenvalues(0.5 * (cov + cov.T), bank.eps)
     return bank
@@ -232,36 +225,24 @@ def ema_update(bank: GmmBank, alpha: float = 0.996) -> GmmBank:
 # ---------------------------------------------------------------------------
 
 def sample_prototypes(bank: GmmBank, y: int, count: int, rng,
-                      normalize: bool = True, use_ema: bool = True,
-                      literal: bool = False) -> np.ndarray:
-    """Draw prototype vectors from class y's mixture (the EMA shadow by default).
+                      normalize: bool = True) -> np.ndarray:
+    """Draw prototype vectors from class y's EMA shadow mixture.
 
-    Default rule: pick a component from the priors, then draw from its
-    Gaussian via the Cholesky factor.  literal=True instead perturbs the
-    mean along a random unit direction pushed through the covariance,
-    mu + xi * (Sigma @ u) with xi ~ U[0, 1], a bounded deterministic-radius
-    variant.  normalize=False exposes the raw draws (for checking the
-    sampler's first moments against the mixture parameters).
+    Pick a component from the priors, then draw from its Gaussian via the
+    Cholesky factor.  normalize=False exposes the raw draws (for checking
+    the sampler's first moments against the mixture parameters).
     """
     if not bank.initialized[y]:
         raise RuntimeError(f"class {y} has no initialized mixture")
     if count < 1:
         raise ValueError("count must be >= 1")
-    means = bank.ema_means[y] if use_ema else bank.means[y]
-    covs = bank.ema_covs[y] if use_ema else bank.covs[y]
+    means, covs = bank.ema_means[y], bank.ema_covs[y]
     comps = rng.choice(bank.num_components, size=count, p=bank.priors[y])
+    chols = [_chol(covs[j], f"class {y} component {j}") for j in range(bank.num_components)]
+    eps = rng.normal(size=(count, bank.dim))
     out = np.empty((count, bank.dim))
-    if literal:
-        xi = rng.uniform(0.0, 1.0, size=count)
-        u = rng.normal(size=(count, bank.dim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        for i in range(count):
-            out[i] = means[comps[i]] + xi[i] * (covs[comps[i]] @ u[i])
-    else:
-        chols = [_chol(covs[j], f"class {y} component {j}") for j in range(bank.num_components)]
-        eps = rng.normal(size=(count, bank.dim))
-        for i in range(count):
-            out[i] = means[comps[i]] + chols[comps[i]] @ eps[i]
+    for i in range(count):
+        out[i] = means[comps[i]] + chols[comps[i]] @ eps[i]
     if normalize:
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -398,26 +379,33 @@ def contrastive_loss(anchors: AnchorSet, bank: GmmBank, prototypes_per_class: in
 # checkpoint embedding
 # ---------------------------------------------------------------------------
 
+_BANK_FIELDS = ("means", "covs", "priors", "ema_means", "ema_covs", "initialized")
+
+
 def bank_tensors(bank: GmmBank):
-    return [
-        ("bank/shape", np.array([bank.num_classes, bank.num_components, bank.dim,
-                                 bank.eps], dtype=np.float64)),
-        ("bank/means", bank.means),
-        ("bank/covs", bank.covs),
-        ("bank/priors", bank.priors),
-        ("bank/ema_means", bank.ema_means),
-        ("bank/ema_covs", bank.ema_covs),
-        ("bank/initialized", bank.initialized.astype(np.float64)),
-    ]
+    head = np.array([bank.num_classes, bank.num_components, bank.dim, bank.eps],
+                    dtype=np.float64)
+    return [("bank/shape", head)] + [(f"bank/{f}", np.asarray(getattr(bank, f), dtype=np.float64))
+                                     for f in _BANK_FIELDS]
 
 
 def bank_from_tensors(tensors: dict) -> GmmBank:
-    y, m, z, eps = tensors["bank/shape"]
-    bank = GmmBank(num_classes=int(y), num_components=int(m), dim=int(z), eps=float(eps))
-    bank.means = tensors["bank/means"]
-    bank.covs = tensors["bank/covs"]
-    bank.priors = tensors["bank/priors"]
-    bank.ema_means = tensors["bank/ema_means"]
-    bank.ema_covs = tensors["bank/ema_covs"]
-    bank.initialized = tensors["bank/initialized"].astype(bool)
-    return bank
+    """Inverse of bank_tensors; a missing or misshapen tensor is a FormatError."""
+    names = ["bank/shape"] + [f"bank/{f}" for f in _BANK_FIELDS]
+    missing = [name for name in names if name not in tensors]
+    if missing:
+        raise FormatError(f"missing bank tensors: {', '.join(missing)}")
+    head = tensors["bank/shape"]
+    if head.shape != (4,) or (head[:3] != np.floor(head[:3])).any() \
+            or (head[:3] < 1).any() or head[3] <= 0:
+        raise FormatError("bank/shape must hold 3 positive integers and a positive eps")
+    y, m, z = (int(v) for v in head[:3])
+    shapes = ((y, m, z), (y, m, z, z), (y, m), (y, m, z), (y, m, z, z), (y,))
+    arrays = {}
+    for f, shape in zip(_BANK_FIELDS, shapes):
+        arrays[f] = tensors[f"bank/{f}"]
+        if arrays[f].shape != shape:
+            raise FormatError(f"tensor 'bank/{f}' has shape {arrays[f].shape}, "
+                              f"expected {shape} from bank/shape")
+    arrays["initialized"] = arrays["initialized"].astype(bool)
+    return GmmBank(num_classes=y, num_components=m, dim=z, eps=float(head[3]), **arrays)

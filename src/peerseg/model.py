@@ -310,8 +310,23 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
+def _checked_dims(dims, file_values):
+    """meta/dims as ints: 5 entries, integral, positive (features may be 0),
+    and describing no more weights than the file holds."""
+    if dims.shape != (5,) or (dims != np.floor(dims)).any():
+        raise FormatError("meta/dims must hold 5 integers")
+    c, y, hid_r, hid_v, z = (int(v) for v in dims)
+    if c < 0 or min(y, hid_r, hid_v, z) < 1:
+        raise FormatError(f"meta/dims {[c, y, hid_r, hid_v, z]} are out of range")
+    weights = sum((4 + c) * h + h * y + y + 2 * h * h + 3 * h + h * z + z
+                  for h in (hid_r, hid_v))
+    if weights > file_values:
+        raise FormatError(f"meta/dims describe {weights} weights, more than the file holds")
+    return c, y, hid_r, hid_v, z
+
+
 def load_checkpoint(path):
-    """Returns (ModelState, bank-or-None)."""
+    """Returns (ModelState, bank-or-None); any malformed content is a FormatError."""
     from . import gmm
 
     with open(path, "rb") as fh:
@@ -326,19 +341,29 @@ def load_checkpoint(path):
     count = rd.u32("tensor count")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = rd.take(rd.u16("name length"), "name").decode("utf-8")
+        raw = rd.take(rd.u16("name length"), "name")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"tensor name {raw!r} is not UTF-8",
+                              offset=rd.off - len(raw)) from None
         ndim = rd.u32("ndim")
         shape = tuple(rd.u32("dim") for _ in range(ndim))
         size = int(np.prod(shape, dtype=np.int64)) if shape else 1
         payload = rd.take(8 * size, f"tensor {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        if not np.isfinite(tensors[name]).all():
+            raise FormatError(f"tensor {name!r} holds non-finite values")
     if rd.off != len(blob):
         raise FormatError("trailing bytes after payload", offset=rd.off)
     if "meta/dims" not in tensors:
         raise FormatError("missing meta/dims record")
-    c, y, hid_r, hid_v, z = (int(v) for v in tensors["meta/dims"])
-    state = init_model(c, y, hid_r, hid_v, z, seed=0,
-                       input_scale=tensors.get("meta/input_scale"))
+    c, y, hid_r, hid_v, z = _checked_dims(tensors["meta/dims"], len(blob) // 8)
+    try:
+        state = init_model(c, y, hid_r, hid_v, z, seed=0,
+                           input_scale=tensors.get("meta/input_scale"))
+    except ValueError as exc:
+        raise FormatError(f"meta/input_scale: {exc}") from None
     for name, t in state.named_parameters():
         if name not in tensors:
             raise FormatError(f"missing tensor {name!r}")
@@ -346,5 +371,6 @@ def load_checkpoint(path):
             raise FormatError(f"tensor {name!r} has shape {tensors[name].shape}, "
                               f"expected {t.data.shape}")
         t.data = tensors[name]
-    bank = gmm.bank_from_tensors(tensors) if "bank/means" in tensors else None
+    has_bank = any(name.startswith("bank/") for name in tensors)
+    bank = gmm.bank_from_tensors(tensors) if has_bank else None
     return state, bank

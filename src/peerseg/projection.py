@@ -72,15 +72,6 @@ class VoxelGrid:
     def shape(self):
         return self.grid.shape[:3]
 
-    def members(self, h: int, w: int, l: int) -> np.ndarray:
-        """Point ids inside voxel (h, w, l); empty array if unoccupied."""
-        hh, ww, ll = self.grid.shape[:3]
-        flat = (h * ww + w) * ll + l
-        j = np.searchsorted(self.occupied_flat, flat)
-        if j == len(self.occupied_flat) or self.occupied_flat[j] != flat:
-            return np.empty(0, dtype=np.int64)
-        return self.member_order[self.member_starts[j]:self.member_starts[j + 1]]
-
 
 @dataclass
 class CategoricalGrid:
@@ -226,17 +217,6 @@ def cells_to_points(view, cell_values: np.ndarray) -> np.ndarray:
 def _require_domain(cat: CategoricalGrid, view):
     if cat.domain != view.domain:
         raise ValueError(f"categorical field is {cat.domain!r} but the view is {view.domain!r}")
-
-
-def range_to_points(img: RangeImage, cat: CategoricalGrid) -> np.ndarray:
-    """Per-point predictions: (N, Y) probs if soft, (N,) labels if hard."""
-    _require_domain(cat, img)
-    return cells_to_points(img, cat.probs if cat.is_soft else cat.labels)
-
-
-def voxel_to_points(vox: VoxelGrid, cat: CategoricalGrid) -> np.ndarray:
-    _require_domain(cat, vox)
-    return cells_to_points(vox, cat.probs if cat.is_soft else cat.labels)
 
 
 def _points_to_cells(view, point_values: np.ndarray) -> np.ndarray:

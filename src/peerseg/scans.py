@@ -363,13 +363,12 @@ def read_scan(path) -> PointScan:
 # splits
 # ---------------------------------------------------------------------------
 
-def split_dataset(scans, labelled_fraction, strategy="uniform", seed=None):
+def split_dataset(scans, labelled_fraction, strategy="uniform"):
     """Partition scans into (labelled, unlabelled-with-stripped-labels).
 
     uniform: ceil(f*n) scans evenly spread over the list (index floor(i*n/k)).
     partial: the contiguous prefix of ceil(f*n) scans.
-    The seed argument is accepted for interface stability; both strategies
-    are deterministic.
+    Both strategies are deterministic.
     """
     n = len(scans)
     if n < 1:

@@ -9,7 +9,9 @@ voxel view); assemble the loss (per view, labelled term + pseudo term,
 each cross entropy + Lovasz, plus the prototype contrastive term); update
 the per-class mixture bank from detached embeddings (EM then EMA shadow);
 backward; one joint SGD (or AdamW) step with polynomial learning-rate
-decay for both views.
+decay for both views.  The two views are peers, so each step is written
+once, as a loop over VIEWS: a view's grids, targets, pseudo labels,
+parameters and mixing augmentation sit in parallel pairs indexed by view.
 
 Randomness is split into per-purpose child streams of the config seed
 (model init, batch order, anchor mining, prototype draws, mixture
@@ -20,8 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,13 +34,15 @@ from .autodiff import Tensor
 from .augment import cutmix_range, lasermix_voxel, make_mix_plan
 from .errors import ConfigError, NumericError
 from .metrics import ConfusionMatrix, fuse_predictions
-from .projection import (CategoricalGrid, cells_to_points, point_labels_to_grid,
-                         project_to_range, project_to_voxel, valid_mask)
+from .projection import (cells_to_points, point_labels_to_grid, project_to_range,
+                         project_to_voxel, valid_mask)
 from .scans import PointScan, SensorSpec
 
 METRIC_KEYS = ("epoch", "lr", "loss_total", "loss_range_labelled", "loss_range_pseudo",
                "loss_voxel_labelled", "loss_voxel_pseudo", "loss_contrastive",
                "miou_range", "miou_voxel")
+LOSS_KEYS = METRIC_KEYS[2:8]
+VIEWS = ("range", "voxel")
 
 
 @dataclass
@@ -54,12 +57,10 @@ class TrainConfig:
     gmm_components: int = 5
     temperature: float = 0.1
     ema_alpha: float = 0.996
-    em_mode: str = "default"            # "default" | "literal"
     em_iters: int = 1
     anchor_cap: int = 200
     prototypes_per_class: int = 8
     embed_subsample_cap: int = 256
-    include_labelled_embeddings: bool = True
     warmup_epochs: int = 1
     use_cross_supervision: bool = True
     use_contrastive: bool = True
@@ -70,7 +71,6 @@ class TrainConfig:
     pseudo_weight: float = 1.0
     pseudo_ramp_epochs: int = 0         # 0 = full pseudo_weight from the first iteration
     seed: int = 0
-    threads: int = 1
     num_bands: int = 0                  # 0 = num_beams // 2
 
     def __post_init__(self):
@@ -78,14 +78,10 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.optimizer not in ("sgd", "adamw"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.em_mode not in ("default", "literal"):
-            raise ConfigError(f"unknown EM mode {self.em_mode!r}")
         if self.base_lr <= 0 or self.temperature <= 0:
             raise ConfigError("base_lr and temperature must be positive")
         if not 0 <= self.ema_alpha <= 1:
             raise ConfigError("ema_alpha must be in [0, 1]")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if min(self.anchor_cap, self.prototypes_per_class, self.embed_subsample_cap,
                self.gmm_components, self.embed_dim, self.hidden_range, self.hidden_voxel,
                self.em_iters) < 1:
@@ -97,64 +93,50 @@ class TrainConfig:
 
 @dataclass
 class _Bundle:
-    """A scan with its cached projections and (when labelled) cell targets."""
+    """A scan with its two cached views and, when labelled, their cell targets."""
 
     scan: PointScan
-    rimg: object
-    vox: object
-    range_targets: np.ndarray | None = None   # labels at covered range cells
-    voxel_targets: np.ndarray | None = None
+    grids: tuple                      # (RangeImage, VoxelGrid)
+    targets: tuple | None = None      # per view: labels at the covered cells
 
 
-def _prepare(scans, sensor, threads=1, with_targets=True):
-    def build(scan):
-        rimg = project_to_range(scan, sensor)
-        vox = project_to_voxel(scan, sensor)
-        bundle = _Bundle(scan=scan, rimg=rimg, vox=vox)
-        if with_targets:
-            y = scan.num_classes
-            rcat = point_labels_to_grid(rimg, scan.labels, y)
-            vcat = point_labels_to_grid(vox, scan.labels, y)
-            bundle.range_targets = rcat.labels[rimg.valid]
-            bundle.voxel_targets = vcat.labels[vox.occupied]
-        return bundle
-
-    if threads > 1 and len(scans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, scans))
-    return [build(s) for s in scans]
+def _prepare(scans, sensor, with_targets=True):
+    bundles = []
+    for scan in scans:
+        grids = (project_to_range(scan, sensor), project_to_voxel(scan, sensor))
+        targets = tuple(point_labels_to_grid(g, scan.labels, scan.num_classes).labels[valid_mask(g)]
+                        for g in grids) if with_targets else None
+        bundles.append(_Bundle(scan, grids, targets))
+    return bundles
 
 
-def _concat_cells(bundles, view_attr):
-    """Stack covered-cell features of several scans; return matrix + slices."""
-    mats, slices, off = [], [], 0
-    for b in bundles:
-        view = getattr(b, view_attr)
-        cells = model_mod.valid_cells(view)
-        mats.append(cells)
-        slices.append((off, off + cells.shape[0]))
-        off += cells.shape[0]
-    if not mats:
-        return np.empty((0, 0)), []
-    return np.concatenate(mats, axis=0), slices
+def _cutmix_cells(batch, pseudo, plan, sensor, y_count):
+    """Column CutMix of the range images: per-scan mixed cells and targets."""
+    images = np.stack([b.grids[0].grid for b in batch])
+    valid = np.stack([b.grids[0].valid for b in batch])
+    labels = np.stack([p.labels for p in pseudo])
+    mix_img, mix_valid, mix_lab, _ = cutmix_range(images, valid, labels, None, plan)
+    return ([img[ok] for img, ok in zip(mix_img, mix_valid)],
+            [lab[ok] for lab, ok in zip(mix_lab, mix_valid)])
 
 
-def _forward_set(view_params, cells):
-    hidden = model_mod.trunk_hidden(view_params, cells)
-    logits = model_mod.segment_logits(view_params, hidden)
-    return hidden, logits
+def _lasermix_cells(batch, pseudo, plan, sensor, y_count):
+    """Each scan band-mixed with the next one in point space, then
+    re-voxelized: per-scan mixed cells and majority-vote targets."""
+    cells, targets = [], []
+    for i, a in enumerate(batch):
+        j = (i + 1) % len(batch)
+        b = batch[j]
+        mixed, labels = lasermix_voxel(
+            a.scan, b.scan, cells_to_points(a.grids[1], pseudo[i].labels),
+            cells_to_points(b.grids[1], pseudo[j].labels), sensor, plan)
+        vox = project_to_voxel(mixed, sensor)
+        cells.append(model_mod.valid_cells(vox))
+        targets.append(point_labels_to_grid(vox, labels, y_count).labels[vox.occupied])
+    return cells, targets
 
 
-def _grid_probs(bundles, view_attr, logits_data, slices, num_classes):
-    """Per-scan soft CategoricalGrids from concatenated detached logits."""
-    out = []
-    for b, (start, stop) in zip(bundles, slices):
-        view = getattr(b, view_attr)
-        mask = valid_mask(view)
-        probs = np.zeros(mask.shape + (num_classes,))
-        probs[mask] = model_mod.softmax(logits_data[start:stop])
-        out.append(CategoricalGrid(domain=view.domain, num_classes=num_classes, probs=probs))
-    return out
+MIXERS = (_cutmix_cells, _lasermix_cells)   # per view, in VIEWS order
 
 
 def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
@@ -181,10 +163,9 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     bank = gmm_mod.new_bank(y_count, config.gmm_components, config.embed_dim)
     optimizer = model_mod.AdamW(state.parameters()) if config.optimizer == "adamw" else None
 
-    lab = _prepare(labelled, sensor, config.threads, with_targets=True)
-    unlab = _prepare(unlabelled, sensor, config.threads, with_targets=False)
-    evals = _prepare(eval_scans, sensor, config.threads, with_targets=False) \
-        if eval_scans else None
+    lab = _prepare(labelled, sensor, with_targets=True)
+    unlab = _prepare(unlabelled, sensor, with_targets=False)
+    evals = _prepare(eval_scans, sensor, with_targets=False) if eval_scans else None
 
     use_unlab = bool(unlab) and config.use_cross_supervision
     iters_per_epoch = max(1, math.ceil(max(len(lab), len(unlab)) / config.batch_size))
@@ -197,10 +178,7 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
         order_lab = np.resize(rng_data.permutation(len(lab)), iters_per_epoch * config.batch_size)
         order_unlab = np.resize(rng_data.permutation(len(unlab)),
                                 iters_per_epoch * config.batch_size) if unlab else None
-        sums = {k: 0.0 for k in ("loss_total", "loss_range_labelled", "loss_range_pseudo",
-                                 "loss_voxel_labelled", "loss_voxel_pseudo",
-                                 "loss_contrastive")}
-        lr = model_mod.poly_lr(config.base_lr, 0, total_iters)
+        sums = {k: 0.0 for k in LOSS_KEYS}
         for it in range(iters_per_epoch):
             lr = model_mod.poly_lr(config.base_lr, global_iter, total_iters)
             batch_lab = [lab[i] for i in
@@ -217,139 +195,98 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
 
         record = {"epoch": epoch, "lr": lr}
         record.update({k: sums[k] / iters_per_epoch for k in sums})
-        if evals is not None:
-            scores = _evaluate_bundles(state, evals, y_count, protocol="global")
-            record["miou_range"] = scores["range"]["miou"]
-            record["miou_voxel"] = scores["voxel"]["miou"]
-        else:
-            record["miou_range"] = None
-            record["miou_voxel"] = None
+        scores = _evaluate_bundles(state, evals, y_count) if evals is not None else None
+        record.update({f"miou_{v}": scores[v]["miou"] if scores else None for v in VIEWS})
         metrics.append({k: record[k] for k in METRIC_KEYS})
     return state, bank, metrics
 
 
 def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num_bands,
                epoch, global_iter, lr, optimizer, rng_anchor, rng_proto, rng_em):
-    # labelled forward, both views
-    r_cells, r_slices = _concat_cells(batch_lab, "rimg")
-    v_cells, v_slices = _concat_cells(batch_lab, "vox")
-    r_hidden_lab, r_logits_lab = _forward_set(state.range_view, r_cells)
-    v_hidden_lab, v_logits_lab = _forward_set(state.voxel_view, v_cells)
-    r_targets_lab = np.concatenate([b.range_targets for b in batch_lab])
-    v_targets_lab = np.concatenate([b.voxel_targets for b in batch_lab])
+    """One joint step; lists indexed by view k follow the VIEWS order."""
+    params = (state.range_view, state.voxel_view)
 
-    loss_r_lab = losses_mod.set_supervised_loss(
-        r_logits_lab, r_targets_lab, r_slices, config.ce_weight, config.lovasz_weight)
-    loss_v_lab = losses_mod.set_supervised_loss(
-        v_logits_lab, v_targets_lab, v_slices, config.ce_weight, config.lovasz_weight)
+    def forward(k, mats):
+        """Stacked per-scan cell matrices through view k: (hidden, logits, row slices)."""
+        stops = np.cumsum([m.shape[0] for m in mats]).tolist()
+        hidden = model_mod.trunk_hidden(params[k], np.concatenate(mats, axis=0))
+        return hidden, model_mod.segment_logits(params[k], hidden), list(zip([0] + stops, stops))
 
-    loss_r_pse = Tensor(0.0)
-    loss_v_pse = Tensor(0.0)
+    def forward_batch(k, batch):
+        return forward(k, [model_mod.valid_cells(b.grids[k]) for b in batch])
+
+    def supervised(logits, targets, slices):
+        return losses_mod.set_supervised_loss(logits, targets, slices,
+                                              config.ce_weight, config.lovasz_weight)
+
+    def covered(fields, batch, k, attr):
+        return np.concatenate([getattr(f, attr)[valid_mask(b.grids[k])]
+                               for f, b in zip(fields, batch)])
+
+    # labelled forward, per view: (hidden, logits, slices)
+    lab = [forward_batch(k, batch_lab) for k in range(2)]
+    lab_targets = [np.concatenate([b.targets[k] for b in batch_lab]) for k in range(2)]
+    loss_lab = [supervised(lab[k][1], lab_targets[k], lab[k][2]) for k in range(2)]
+    loss_pse = [Tensor(0.0), Tensor(0.0)]
     loss_ctr = Tensor(0.0)
-    pseudo_grids = None
 
     if batch_unlab:
         # clean forward on the unlabelled batch; predictions detach here
-        ur_cells, ur_slices = _concat_cells(batch_unlab, "rimg")
-        uv_cells, uv_slices = _concat_cells(batch_unlab, "vox")
-        ur_hidden, ur_logits = _forward_set(state.range_view, ur_cells)
-        uv_hidden, uv_logits = _forward_set(state.voxel_view, uv_cells)
-        r_prob_grids = _grid_probs(batch_unlab, "rimg", ur_logits.data, ur_slices, y_count)
-        v_prob_grids = _grid_probs(batch_unlab, "vox", uv_logits.data, uv_slices, y_count)
-        pseudo_grids = [
-            losses_mod.make_pseudo_labels(rp, vp, b.rimg, b.vox)
-            for rp, vp, b in zip(r_prob_grids, v_prob_grids, batch_unlab)
-        ]
+        unlab = [forward_batch(k, batch_unlab) for k in range(2)]
+        probs = [[model_mod.probs_grid(b.grids[k], logits.data[start:stop], y_count)
+                  for b, (start, stop) in zip(batch_unlab, slices)]
+                 for k, (_, logits, slices) in enumerate(unlab)]
+        # pseudo[k][i]: scan i's labels for view k, moved over from the other view
+        pseudo = list(zip(*(losses_mod.make_pseudo_labels(rp, vp, *b.grids)
+                            for rp, vp, b in zip(*probs, batch_unlab))))
+        pseudo_t = [covered(pseudo[k], batch_unlab, k, "labels") for k in range(2)]
+        pseudo_c = [covered(pseudo[k], batch_unlab, k, "confidence") for k in range(2)]
         ramp = config.pseudo_weight
         if config.pseudo_ramp_epochs > 0:
             ramp *= min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
-
         if config.use_augmentation:
-            loss_r_pse, loss_v_pse = _augmented_pseudo_losses(
-                config, sensor, state, batch_unlab, pseudo_grids, y_count, num_bands)
-        else:
-            r_pairs_t = np.concatenate(
-                [pg[0].labels[b.rimg.valid] for pg, b in zip(pseudo_grids, batch_unlab)])
-            v_pairs_t = np.concatenate(
-                [pg[1].labels[b.vox.occupied] for pg, b in zip(pseudo_grids, batch_unlab)])
-            loss_r_pse = losses_mod.set_supervised_loss(
-                ur_logits, r_pairs_t, ur_slices, config.ce_weight, config.lovasz_weight)
-            loss_v_pse = losses_mod.set_supervised_loss(
-                uv_logits, v_pairs_t, uv_slices, config.ce_weight, config.lovasz_weight)
-        if ramp != 1.0:
-            loss_r_pse = ad.mul(loss_r_pse, ramp)
-            loss_v_pse = ad.mul(loss_v_pse, ramp)
+            plan = make_mix_plan(len(batch_unlab), sensor.image_width, num_bands)
+        for k in range(2):
+            if config.use_augmentation:
+                # pseudo terms on mixed inputs with mixed targets
+                cells, targets = MIXERS[k](batch_unlab, pseudo[k], plan, sensor, y_count)
+                _, logits, slices = forward(k, cells)
+                loss = supervised(logits, np.concatenate(targets), slices)
+            else:
+                loss = supervised(unlab[k][1], pseudo_t[k], unlab[k][2])
+            loss_pse[k] = loss if ramp == 1.0 else ad.mul(loss, ramp)
 
-    contrastive_on = config.use_contrastive and epoch >= config.warmup_epochs
     class_sets = None
-    if contrastive_on:
-        r_embed_lab = model_mod.project_embed(state.range_view, r_hidden_lab)
-        v_embed_lab = model_mod.project_embed(state.voxel_view, v_hidden_lab)
-        embeds = {"range": [r_embed_lab], "voxel": [v_embed_lab]}
-        preds = {"range": [np.argmax(r_logits_lab.data, axis=1)],
-                 "voxel": [np.argmax(v_logits_lab.data, axis=1)]}
-        targets = {"range": [r_targets_lab], "voxel": [v_targets_lab]}
-        confs = {"range": [np.ones(r_targets_lab.shape[0])],
-                 "voxel": [np.ones(v_targets_lab.shape[0])]}
-        if batch_unlab:
-            ur_embed = model_mod.project_embed(state.range_view, ur_hidden)
-            uv_embed = model_mod.project_embed(state.voxel_view, uv_hidden)
-            r_pseudo_t = np.concatenate(
-                [pg[0].labels[b.rimg.valid] for pg, b in zip(pseudo_grids, batch_unlab)])
-            v_pseudo_t = np.concatenate(
-                [pg[1].labels[b.vox.occupied] for pg, b in zip(pseudo_grids, batch_unlab)])
-            r_pseudo_c = np.concatenate(
-                [pg[0].confidence[b.rimg.valid] for pg, b in zip(pseudo_grids, batch_unlab)])
-            v_pseudo_c = np.concatenate(
-                [pg[1].confidence[b.vox.occupied] for pg, b in zip(pseudo_grids, batch_unlab)])
-            embeds["range"].append(ur_embed)
-            embeds["voxel"].append(uv_embed)
-            preds["range"].append(np.argmax(ur_logits.data, axis=1))
-            preds["voxel"].append(np.argmax(uv_logits.data, axis=1))
-            targets["range"].append(r_pseudo_t)
-            targets["voxel"].append(v_pseudo_t)
-            confs["range"].append(r_pseudo_c)
-            confs["voxel"].append(v_pseudo_c)
-
-        anchor_sets = []
-        for v in ("range", "voxel"):
-            emb = embeds[v][0] if len(embeds[v]) == 1 else ad.concat_rows(embeds[v])
-            anchor_sets.append(gmm_mod.mine_anchors(
-                emb, np.concatenate(preds[v]), np.concatenate(targets[v]),
-                config.anchor_cap, rng_anchor))
-        anchors = gmm_mod.merge_anchor_sets(anchor_sets[0], anchor_sets[1])
+    if config.use_contrastive and epoch >= config.warmup_epochs:
+        anchor_sets, pool = [], []
+        for k in range(2):
+            # (forward, targets, confidences): labelled cells, then pseudo-labelled ones
+            sets = [(lab[k], lab_targets[k], np.ones(lab_targets[k].shape[0]))]
+            if batch_unlab:
+                sets.append((unlab[k], pseudo_t[k], pseudo_c[k]))
+            embeds = [model_mod.project_embed(params[k], fwd[0]) for fwd, _, _ in sets]
+            emb = embeds[0] if len(embeds) == 1 else ad.concat_rows(embeds)
+            preds = np.concatenate([np.argmax(fwd[1].data, axis=1) for fwd, _, _ in sets])
+            targets = np.concatenate([t for _, t, _ in sets])
+            anchor_sets.append(gmm_mod.mine_anchors(emb, preds, targets, config.anchor_cap,
+                                                    rng_anchor))
+            pool.append((emb.data, targets, np.concatenate([c for _, _, c in sets])))
+        anchors = gmm_mod.merge_anchor_sets(*anchor_sets)
         loss_ctr = ad.mul(
             gmm_mod.contrastive_loss(anchors, bank, config.prototypes_per_class,
                                      config.temperature, rng_proto),
             config.contrastive_weight)
-
         # detached embedding pool for the mixture updates (after the loss,
         # so this iteration's contrastive term reads the previous shadow)
-        pool = {"range": [], "voxel": []}
-        if config.include_labelled_embeddings:
-            pool["range"].append((r_embed_lab.data, r_targets_lab,
-                                  np.ones(r_targets_lab.shape[0])))
-            pool["voxel"].append((v_embed_lab.data, v_targets_lab,
-                                  np.ones(v_targets_lab.shape[0])))
-        if batch_unlab:
-            pool["range"].append((ur_embed.data, r_pseudo_t, r_pseudo_c))
-            pool["voxel"].append((uv_embed.data, v_pseudo_t, v_pseudo_c))
-        if pool["range"] or pool["voxel"]:
-            def cat(view, i):
-                parts = [p[i] for p in pool[view]]
-                return np.concatenate(parts) if parts else np.empty(0)
-            class_sets = gmm_mod.collect_embeddings(
-                cat("range", 0).reshape(-1, config.embed_dim), cat("range", 1), cat("range", 2),
-                cat("voxel", 0).reshape(-1, config.embed_dim), cat("voxel", 1), cat("voxel", 2),
-                config.embed_subsample_cap, rng_em, y_count)
+        class_sets = gmm_mod.collect_embeddings(*pool[0], *pool[1],
+                                                config.embed_subsample_cap, rng_em, y_count)
 
-    total = ad.add(ad.add(loss_r_lab, loss_v_lab), ad.add(loss_r_pse, loss_v_pse))
-    total = ad.add(total, loss_ctr)
+    total = ad.add(ad.add(ad.add(*loss_lab), ad.add(*loss_pse)), loss_ctr)
     if not np.isfinite(total.data):
         raise NumericError(f"non-finite loss at iteration {global_iter}")
 
     if class_sets:
-        gmm_mod.em_update(bank, class_sets, config.em_iters, rng_em, config.em_mode)
+        gmm_mod.em_update(bank, class_sets, config.em_iters, rng_em)
         gmm_mod.ema_update(bank, config.ema_alpha)
 
     state.zero_grad()
@@ -359,57 +296,11 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
     else:
         model_mod.sgd_step(state.parameters(), lr)
 
-    return {
-        "loss_total": float(total.data),
-        "loss_range_labelled": float(loss_r_lab.data),
-        "loss_range_pseudo": float(loss_r_pse.data),
-        "loss_voxel_labelled": float(loss_v_lab.data),
-        "loss_voxel_pseudo": float(loss_v_pse.data),
-        "loss_contrastive": float(loss_ctr.data),
-    }
-
-
-def _augmented_pseudo_losses(config, sensor, state, batch_unlab, pseudo_grids,
-                             y_count, num_bands):
-    """Pseudo terms evaluated on mixed inputs with mixed targets."""
-    b = len(batch_unlab)
-    plan = make_mix_plan(b, sensor.image_width, num_bands)
-
-    # range: column CutMix on the stacked grids
-    images = np.stack([bb.rimg.grid for bb in batch_unlab])
-    valid = np.stack([bb.rimg.valid for bb in batch_unlab])
-    labels = np.stack([pg[0].labels for pg in pseudo_grids])
-    mix_img, mix_valid, mix_lab, _ = cutmix_range(images, valid, labels, None, plan)
-    mats, slices, targets, off = [], [], [], 0
-    for i in range(b):
-        cells = mix_img[i][mix_valid[i]]
-        mats.append(cells)
-        targets.append(mix_lab[i][mix_valid[i]])
-        slices.append((off, off + cells.shape[0]))
-        off += cells.shape[0]
-    _, logits = _forward_set(state.range_view, np.concatenate(mats, axis=0))
-    loss_r = losses_mod.set_supervised_loss(
-        logits, np.concatenate(targets), slices, config.ce_weight, config.lovasz_weight)
-
-    # voxel: band mixing in point space, re-voxelized, majority-vote targets
-    mixed_bundles, mixed_targets = [], []
-    for i in range(b):
-        a = batch_unlab[i]
-        bb = batch_unlab[(i + 1) % b]
-        lab_a = cells_to_points(a.vox, pseudo_grids[i][1].labels)
-        lab_b = cells_to_points(bb.vox, pseudo_grids[(i + 1) % b][1].labels)
-        mixed_scan, mixed_pt_labels = lasermix_voxel(
-            a.scan, bb.scan, lab_a, lab_b, sensor, plan)
-        vox = project_to_voxel(mixed_scan, sensor)
-        cat = point_labels_to_grid(vox, mixed_pt_labels, y_count)
-        mixed_bundles.append(_Bundle(scan=mixed_scan, rimg=None, vox=vox))
-        mixed_targets.append(cat.labels[vox.occupied])
-    v_cells, v_slices = _concat_cells(mixed_bundles, "vox")
-    _, v_logits = _forward_set(state.voxel_view, v_cells)
-    loss_v = losses_mod.set_supervised_loss(
-        v_logits, np.concatenate(mixed_targets), v_slices,
-        config.ce_weight, config.lovasz_weight)
-    return loss_r, loss_v
+    parts = {"loss_total": float(total.data), "loss_contrastive": float(loss_ctr.data)}
+    for name, labelled, pseudo_loss in zip(VIEWS, loss_lab, loss_pse):
+        parts[f"loss_{name}_labelled"] = float(labelled.data)
+        parts[f"loss_{name}_pseudo"] = float(pseudo_loss.data)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +309,20 @@ def _augmented_pseudo_losses(config, sensor, state, batch_unlab, pseudo_grids,
 
 def predict_point_probs(state, sensor, scan):
     """Per-point class probabilities from both views for one scan."""
-    rimg = project_to_range(scan, sensor)
-    vox = project_to_voxel(scan, sensor)
-    return _bundle_point_probs(state, _Bundle(scan=scan, rimg=rimg, vox=vox))
+    return _bundle_point_probs(state, _prepare([scan], sensor, with_targets=False)[0])
 
 
 def _bundle_point_probs(state, bundle):
-    y = state.num_classes
     out = []
-    for view in (bundle.rimg, bundle.vox):
-        logits = model_mod.forward_segment(state, view)
-        cat = model_mod.probs_grid(view, logits, y)
-        out.append(cells_to_points(view, cat.probs))
-    return out[0], out[1]
+    for grid in bundle.grids:
+        logits = model_mod.forward_segment(state, grid)
+        cat = model_mod.probs_grid(grid, logits, state.num_classes)
+        out.append(cells_to_points(grid, cat.probs))
+    return tuple(out)
 
 
 def _evaluate_bundles(state, bundles, y_count, protocol="global", include_fused=False):
-    views = ("range", "voxel") + (("fused",) if include_fused else ())
+    views = VIEWS + (("fused",) if include_fused else ())
     if protocol == "global":
         cms = {v: ConfusionMatrix(y_count) for v in views}
     elif protocol == "batchwise":
@@ -458,11 +346,11 @@ def _evaluate_bundles(state, bundles, y_count, protocol="global", include_fused=
     return {v: {"iou": None, "miou": float(np.mean(scores[v]))} for v in views}
 
 
-def evaluate(state, sensor, scans, protocol="global", include_fused=False, threads=1):
+def evaluate(state, sensor, scans, protocol="global", include_fused=False):
     """Per-view (optionally fused) IoU metrics over labelled scans."""
     if not scans:
         raise ConfigError("need at least one scan to evaluate")
-    bundles = _prepare(scans, sensor, threads, with_targets=False)
+    bundles = _prepare(scans, sensor, with_targets=False)
     out = _evaluate_bundles(state, bundles, scans[0].num_classes, protocol, include_fused)
     out["protocol"] = protocol
     return out
@@ -493,12 +381,11 @@ def ablate(config: TrainConfig, sensor, labelled, unlabelled, eval_scans,
         for seed in seeds:
             cfg = replace(config, seed=int(seed), **overrides)
             state, _, _ = train(cfg, sensor, labelled, unlabelled)
-            scores = evaluate(state, sensor, eval_scans, protocol="global",
-                              threads=config.threads)
-            for view in ("range", "voxel"):
+            scores = evaluate(state, sensor, eval_scans, protocol="global")
+            for view in VIEWS:
                 records.append({"config": name, "seed": int(seed), "view": view,
                                 "miou": scores[view]["miou"]})
-    for view in ("range", "voxel"):
+    for view in VIEWS:
         means = []
         for name, _ in rows:
             vals = [r["miou"] for r in records if r["config"] == name and r["view"] == view]

@@ -1,4 +1,5 @@
 import json
+import struct
 import warnings
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from peerseg.cli import load_config, main, read_manifest
 from peerseg.errors import ConfigError
-from peerseg.scans import UNLABELLED, read_scan
+from peerseg.model import init_model, save_checkpoint
+from peerseg.scans import UNLABELLED, PointScan, read_scan, write_scan
 from peerseg.trainer import METRIC_KEYS
 
 
@@ -73,6 +75,14 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path.write_text("[train]\nlearning_rate = 0.1\n")
     with pytest.raises(ConfigError, match="no option"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key", ["threads", "em_mode", "include_labelled_embeddings"])
+def test_removed_train_options_exit_1(tmp_path, key, capsys):
+    path = tmp_path / "c.ini"
+    path.write_text(f"[train]\n{key} = 1\n")
+    assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(path)]) == 1
+    assert "no option" in capsys.readouterr().err
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -183,6 +193,48 @@ def test_eval_fused_and_batchwise(tmp_path, ini, capsys):
     assert 0.0 <= scored["fused"]["miou"] <= 1.0
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{token} is not valid JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_eval_prints_null_for_undefined_iou(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    # truth holds only class 0 and the model predicts only class 0, so the
+    # IoU of classes 1 and 2 is undefined
+    for name in read_manifest(corpus)["eval"]:
+        scan = read_scan(corpus / name)
+        labels = np.where(scan.labels == 0, 0, UNLABELLED).astype(scan.labels.dtype)
+        write_scan(PointScan(scan.positions, scan.features, labels, scan.num_classes),
+                   corpus / name)
+    state = init_model(scan.num_features, 3, 4, 4, 2)
+    for view in (state.range_view, state.voxel_view):
+        view.w2.data[:] = 0.0
+        view.b2.data[:] = (1.0, 0.0, 0.0)
+    save_checkpoint(tmp_path / "model.it2m", state)
+    capsys.readouterr()
+    for protocol in ("global", "batchwise"):
+        assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus),
+                     "--protocol", protocol, "--fused"]) == 0
+        scored = strict_json(capsys.readouterr().out)
+        for view in ("range", "voxel", "fused"):
+            assert scored[view]["miou"] == 1.0
+            if protocol == "global":
+                assert scored[view]["iou"] == [1.0, None, None]
+
+
+def test_eval_of_unlabelled_split_exit_2(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    save_checkpoint(tmp_path / "model.it2m", init_model(1, 3, 4, 4, 2))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus),
+                 "--split", "unlabelled"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no labelled point" in captured.err
+
+
 def test_train_seed_override_changes_model(tmp_path, ini):
     corpus = gen_corpus(tmp_path, ini)
     run_a, run_b = tmp_path / "ra", tmp_path / "rb"
@@ -272,3 +324,18 @@ def test_numeric_blowup_exit_3(tmp_path, capsys):
                      "--config", str(ini)])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+# IT2M layout: magic, version, count (12 bytes), then the first record,
+# meta/dims: u16 name length, 9 name bytes, u32 ndim, u32 dim, 5 f64.
+@pytest.mark.parametrize("offset, patch", [(31, struct.pack("<d", -3.0)), (14, b"\xff")],
+                         ids=["negative_dims", "name_not_utf8"])
+def test_corrupt_checkpoint_exit_2(tmp_path, ini, capsys, offset, patch):
+    corpus = gen_corpus(tmp_path, ini)
+    path = tmp_path / "model.it2m"
+    save_checkpoint(path, init_model(1, 3, 4, 4, 2))
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + len(patch)] = patch
+    path.write_bytes(bytes(blob))
+    assert main(["eval", "--model", str(path), "--data", str(corpus)]) == 2
+    assert "data error" in capsys.readouterr().err

@@ -6,19 +6,11 @@ import pytest
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
 from peerseg.errors import NumericError
-from peerseg.gmm import (AnchorSet, ClassSamples, GmmBank, VIEW_RANGE, VIEW_VOXEL,
+from peerseg.gmm import (AnchorSet, ClassSamples, VIEW_RANGE, VIEW_VOXEL,
                          bank_from_tensors, bank_tensors, collect_embeddings,
                          contrastive_loss, em_update, ema_update, merge_anchor_sets,
                          mine_anchors, new_bank, responsibilities, sample_prototypes,
                          weighted_log_likelihood)
-
-
-def two_cluster_data(rng, n_per=250, dim=4, sep=3.0):
-    a = rng.normal(size=(n_per, dim)) + np.r_[sep, np.zeros(dim - 1)]
-    b = rng.normal(size=(n_per, dim)) - np.r_[sep, np.zeros(dim - 1)]
-    z = np.concatenate([a, b])
-    conf = rng.uniform(0.5, 1.0, size=2 * n_per)
-    return z, conf
 
 
 def antithetic_two_cluster(rng, dim=2, n_pairs_per=125, sep=3.0):
@@ -138,31 +130,6 @@ def test_em_requires_rng_for_fresh_class():
         em_update(bank, {0: class_set(z, np.ones(10))}, rng=None)
 
 
-def test_em_rejects_unknown_mode():
-    bank = new_bank(num_classes=1, num_components=2, dim=2)
-    with pytest.raises(ValueError):
-        em_update(bank, {}, mode="fancy")
-
-
-def test_em_literal_mode_shrinks_means():
-    rng = np.random.default_rng(3)
-    z, conf = two_cluster_data(rng, n_per=100, dim=2)
-    sets = {0: class_set(z, conf)}
-    bank_a = new_bank(num_classes=1, num_components=2, dim=2)
-    em_update(bank_a, sets, num_iters=0, rng=np.random.default_rng(7))
-    bank_b = GmmBank(num_classes=1, num_components=2, dim=2,
-                     means=bank_a.means.copy(), covs=bank_a.covs.copy(),
-                     priors=bank_a.priors.copy(), ema_means=bank_a.ema_means.copy(),
-                     ema_covs=bank_a.ema_covs.copy(), initialized=bank_a.initialized.copy())
-    em_update(bank_a, sets, num_iters=1, mode="default")
-    em_update(bank_b, sets, num_iters=1, mode="literal")
-    # dividing by the sample count instead of the effective mass pulls
-    # every component toward the origin
-    for j in range(2):
-        assert np.linalg.norm(bank_b.means[0, j]) < np.linalg.norm(bank_a.means[0, j])
-    assert not np.allclose(bank_a.means, bank_b.means)
-
-
 def test_em_covariances_keep_minimum_eigenvalue():
     rng = np.random.default_rng(4)
     # nearly collinear samples would otherwise produce a singular covariance
@@ -225,19 +192,6 @@ def test_prototype_normalized_rows_are_unit():
     bank = known_bank()
     draws = sample_prototypes(bank, 0, 64, np.random.default_rng(0))
     assert np.linalg.norm(draws, axis=1) == pytest.approx(np.ones(64))
-
-
-def test_prototype_literal_mode_stays_bounded():
-    bank = known_bank()
-    draws = sample_prototypes(bank, 0, 500, np.random.default_rng(1),
-                              normalize=False, literal=True)
-    dists = np.array([
-        np.linalg.norm(d - bank.means[0, 0]) if np.linalg.norm(d - bank.means[0, 0])
-        < np.linalg.norm(d - bank.means[0, 1]) else np.linalg.norm(d - bank.means[0, 1])
-        for d in draws])
-    # xi <= 1 and |u| = 1, so no draw strays past the covariance spectral norm
-    limit = max(np.linalg.norm(bank.covs[0, 0], 2), np.linalg.norm(bank.covs[0, 1], 2))
-    assert dists.max() <= limit + 1e-9
 
 
 def test_prototype_requires_initialized_class():

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from peerseg import (FormatError, NumericError, SceneConfig, SensorSpec, generat
                      init_model, load_checkpoint, new_bank, poly_lr, project_to_range,
                      project_to_voxel, save_checkpoint, sgd_step)
 from peerseg.autodiff import Tensor
+from peerseg.gmm import bank_tensors
 from peerseg.model import (AdamW, forward_embed, forward_segment, probs_grid,
                            sensor_input_scale, softmax, trunk_hidden, valid_cells)
 
@@ -206,5 +209,58 @@ def test_checkpoint_trailing_bytes(tmp_path):
     path = tmp_path / "model.it2m"
     save_checkpoint(path, tiny_state())
     path.write_bytes(path.read_bytes() + b"xx")
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def valid_records():
+    """Every record of a checkpoint of tiny_state with a bank, as name bytes -> array."""
+    records = {b"meta/dims": np.array([1.0, 4, 6, 5, 3]), b"meta/input_scale": np.ones(5)}
+    records.update((n.encode(), t.data) for n, t in tiny_state(seed=3).named_parameters())
+    records.update((n.encode(), a) for n, a in bank_tensors(new_bank(4, 2, 3)))
+    return records
+
+
+def write_records(path, records):
+    """An IT2M file holding exactly the given records, valid or not."""
+    with open(path, "wb") as fh:
+        fh.write(b"IT2M" + struct.pack("<II", 1, len(records)))
+        for name, arr in records.items():
+            arr = np.asarray(arr, dtype="<f8")
+            fh.write(struct.pack("<H", len(name)) + name + struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes())
+
+
+def test_checkpoint_record_writer_round_trips(tmp_path):
+    path = tmp_path / "model.it2m"
+    write_records(path, valid_records())
+    state, bank = load_checkpoint(path)
+    assert state.num_classes == 4 and bank.num_components == 2
+
+
+# (record name, replacement array or None to drop the record)
+CORRUPTIONS = {
+    "dims_negative": (b"meta/dims", [1, 4, -6, 5, 3]),
+    "dims_fractional": (b"meta/dims", [1, 4, 6.5, 5, 3]),
+    "dims_wrong_count": (b"meta/dims", [1, 4, 6, 5]),
+    "dims_beyond_file": (b"meta/dims", [1, 4, 10 ** 6, 5, 3]),
+    "name_not_utf8": (b"\xff\xfeweights", [0.0]),
+    "input_scale_shape": (b"meta/input_scale", [1.0, 1.0, 1.0]),
+    "bank_tensor_missing": (b"bank/covs", None),
+    "bank_shape_mismatch": (b"bank/priors", np.full((4, 3), 0.5)),
+    "weights_nonfinite": (b"range/w1", np.full((5, 6), np.nan)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_checkpoint_malformed_records(tmp_path, case):
+    name, value = CORRUPTIONS[case]
+    records = valid_records()
+    if value is None:
+        del records[name]
+    else:
+        records[name] = np.asarray(value, dtype=np.float64)
+    path = tmp_path / "model.it2m"
+    write_records(path, records)
     with pytest.raises(FormatError):
         load_checkpoint(path)

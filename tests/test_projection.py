@@ -6,7 +6,7 @@ import pytest
 from peerseg import (CategoricalGrid, PointScan, SceneConfig, SensorSpec, UNLABELLED,
                      cells_to_points, cross_transfer, generate_scene,
                      point_labels_to_grid, project_to_range, project_to_voxel)
-from peerseg.projection import range_to_points, valid_mask, voxel_to_points
+from peerseg.projection import valid_mask
 
 SENSOR = SensorSpec()  # 32 beams, fov +10/-30, 32x96 image, (16,24,8) voxels, 25 m
 
@@ -107,12 +107,7 @@ def test_voxel_channels_are_member_means():
     h, w, l = vox.voxel_of_point[0]
     assert vox.grid[h, w, l].tolist() == pytest.approx([5.5, 5.5, 0.0, 0.0, 0.3])
     assert vox.occupied.sum() == 1
-    assert vox.members(h, w, l).tolist() == [0, 1]
-
-
-def test_voxel_members_empty_cell():
-    vox = project_to_voxel(make_scan([[5, 0, 0]]), SENSOR)
-    assert vox.members(0, 0, 0).size == 0
+    assert vox.member_order[vox.member_starts[0]:vox.member_starts[1]].tolist() == [0, 1]
 
 
 def test_voxel_member_partition():
@@ -230,17 +225,6 @@ def test_cells_to_points_reads_own_cell():
     field = np.zeros(img.shape)
     field[8, 48] = 7.5
     assert cells_to_points(img, field).tolist() == [7.5, 7.5]
-
-
-def test_range_and_voxel_to_points_dispatch():
-    scan, img, vox = two_point_views()
-    soft = CategoricalGrid(domain="range", num_classes=2, probs=np.zeros(img.shape + (2,)))
-    assert range_to_points(img, soft).shape == (2, 2)
-    hard = CategoricalGrid(domain="voxel", num_classes=2,
-                           labels=np.ones(vox.shape, dtype=np.int64))
-    assert voxel_to_points(vox, hard).tolist() == [1, 1]
-    with pytest.raises(ValueError):
-        range_to_points(img, hard)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="rmsprop")
     with pytest.raises(ConfigError):
-        TrainConfig(em_mode="odd")
-    with pytest.raises(ConfigError):
         TrainConfig(base_lr=0.0)
     with pytest.raises(ConfigError):
         TrainConfig(ema_alpha=1.5)
