@@ -8,28 +8,29 @@ came from.
 
 import numpy as np
 
-from peerseg import SceneConfig, SensorSpec, generate_scene
+from peerseg import RangeImage, SceneConfig, SensorSpec, generate_scene
 from peerseg.augment import (cutmix_range, inclination_bands, lasermix_voxel,
                              make_mix_plan)
 
 sensor = SensorSpec()
 
-# ---- column CutMix on the range grids -------------------------------------
+# ---- column CutMix on the range images' cell tables -----------------------
 
 batch, height, width = 3, 4, 24
 plan = make_mix_plan(batch, width, num_bands=sensor.num_beams // 2)
 print("column strips:", plan.intervals)
 
-# tag every pixel of image i with value i, then watch the strips travel
-images = np.zeros((batch, height, width, 1))
-tags = np.repeat(np.arange(batch)[:, None, None], height, axis=1)
-tags = np.repeat(tags, width, axis=2)
-valid = np.ones((batch, height, width), dtype=bool)
-_, _, mixed_tags, _ = cutmix_range(images, valid, tags, None, plan)
+# fully covered images, every pixel of image i tagged with value i; CutMix
+# routes each covered pixel by its column, so watch the strips travel
+ids = np.arange(height * width)
+images = [RangeImage(shape=(height, width), cells=np.zeros((ids.size, 1)), cell_ids=ids,
+                     cell_of_point=ids, winners=ids) for _ in range(batch)]
+tags = [np.full(ids.size, i) for i in range(batch)]
+_, _, mixed_tags, _ = cutmix_range(images, tags, None, plan)
 
 letters = np.array(list("ABC"))
 for i in range(batch):
-    row = "".join(letters[mixed_tags[i, 0]])
+    row = "".join(letters[mixed_tags[i][:width]])  # row-major: the first image row
     print(f"output {letters[i]}: {row}")
 print("strip 0 stays native, strip j comes from batch element (i+j) mod B")
 

@@ -26,10 +26,14 @@ vox = project_to_voxel(scan, sensor)
 
 pixels = sensor.image_height * sensor.image_width
 voxels = int(np.prod(sensor.voxel_dims))
-print(f"\nrange image: {int(rimg.valid.sum())}/{pixels} pixels covered "
+print(f"\nrange image: {rimg.num_cells}/{pixels} pixels covered "
       f"({scan.num_points} points compete for winners)")
-print(f"voxel grid:  {int(vox.occupied.sum())}/{voxels} voxels occupied "
+print(f"voxel grid:  {vox.num_cells}/{voxels} voxels occupied "
       f"(members averaged per cell)")
+# each view keeps only its covered cells; the dense grid is derived on access
+for name, view in (("range", rimg), ("voxel", vox)):
+    print(f"{name} cell table: {view.cells.nbytes / 1024:.0f} KiB of channel rows, "
+          f"dense grid {view.grid.nbytes / 1024:.0f} KiB")
 
 # ---- labels survive the trip onto cells and back --------------------------
 
@@ -46,12 +50,12 @@ for name, view in (("range", rimg), ("voxel", vox)):
 # ---- cross-view transfer, the peer-supervision primitive ------------------
 
 range_cat = point_labels_to_grid(rimg, scan.labels, cfg.num_classes)
+# soft fields hold one row per covered cell
 soft = CategoricalGrid(domain="range", num_classes=cfg.num_classes,
-                       probs=np.eye(cfg.num_classes)[range_cat.labels])
+                       probs=np.eye(cfg.num_classes)[rimg.at_cells(range_cat.labels)])
 moved = cross_transfer(soft, rimg, vox)
 direct = point_labels_to_grid(vox, scan.labels, cfg.num_classes)
-both = vox.occupied
-agree = float((moved.labels[both] == direct.labels[both]).mean())
+agree = float((vox.at_cells(moved.labels) == vox.at_cells(direct.labels)).mean())
 print(f"\nrange labels moved into the voxel view agree with direct voxel "
       f"labels on {agree:.1%} of occupied cells")
 print("the disagreement is the signal: each view bins the same points "

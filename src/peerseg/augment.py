@@ -3,8 +3,9 @@
 Range view: multi-box column CutMix.  The image is cut into batch_size
 full-height column strips of width image_width // batch_size (the last
 strip absorbs the remainder); in batch element i, strip j is copied from
-batch element (i + j) mod batch_size, strip 0 staying native.  Validity,
-labels, and confidence travel with their pixels.
+batch element (i + j) mod batch_size, strip 0 staying native.  It works on
+the images' cell tables: each covered pixel is routed by its column, and
+labels and confidence travel with their pixels.
 
 Voxel view: inclination-band mixing in point space.  The vertical field of
 view is cut into num_bands contiguous inclination bands; even bands keep
@@ -54,33 +55,43 @@ def make_mix_plan(batch_size: int, image_width: int, num_bands: int) -> MixPlan:
     return MixPlan(batch_size=batch_size, intervals=tuple(intervals), num_bands=num_bands)
 
 
-def cutmix_range(images, valid, labels, confidence, plan: MixPlan):
-    """Mix a stacked batch of range grids by column strips.
+def cutmix_range(images, labels, confidence, plan: MixPlan):
+    """Mix a batch of range images by column strips, on their cell tables.
 
-    images (B,U,V,C), valid (B,U,V), labels (B,U,V), confidence (B,U,V) or
-    None.  Returns arrays of the same shapes.
+    images: B RangeImages of one shape; labels[i] and, unless confidence is
+    None, confidence[i] hold one value per covered pixel of images[i], in
+    its ``cells`` order.  Returns per-image lists (cells, cell_ids, labels,
+    confidence) of the mixed images, each image's pixels in row-major
+    order; the confidence list is None when confidence is.
     """
-    images = np.asarray(images)
-    valid = np.asarray(valid)
-    labels = np.asarray(labels)
-    b = images.shape[0]
+    b = len(images)
     if b != plan.batch_size:
         raise ValueError("batch size does not match the plan")
-    if plan.intervals[-1][1] != images.shape[2]:
+    shape = tuple(images[0].shape)
+    if any(tuple(img.shape) != shape for img in images):
+        raise ValueError("images must share one shape")
+    if plan.intervals[-1][1] != shape[1]:
         raise ValueError("plan width does not match the images")
-    out_images = np.empty_like(images)
-    out_valid = np.empty_like(valid)
-    out_labels = np.empty_like(labels)
-    out_conf = np.empty_like(confidence) if confidence is not None else None
+    fields = [[img.cells for img in images], [img.cell_ids for img in images],
+              [np.asarray(x) for x in labels]]
+    if confidence is not None:
+        fields.append([np.asarray(x) for x in confidence])
+    if any(f[i].shape[0] != img.num_cells for f in fields for i, img in enumerate(images)):
+        raise ValueError("labels and confidence must hold one value per covered pixel")
+    # strip of every covered pixel, from its column
+    starts = np.array([start for start, _ in plan.intervals])
+    strips = [np.searchsorted(starts, img.cell_ids % shape[1], side="right") - 1
+              for img in images]
+    out = [[] for _ in fields]
     for i in range(b):
-        for j, (start, stop) in enumerate(plan.intervals):
-            src = (i + j) % b
-            out_images[i, :, start:stop] = images[src, :, start:stop]
-            out_valid[i, :, start:stop] = valid[src, :, start:stop]
-            out_labels[i, :, start:stop] = labels[src, :, start:stop]
-            if out_conf is not None:
-                out_conf[i, :, start:stop] = confidence[src, :, start:stop]
-    return out_images, out_valid, out_labels, out_conf
+        # strip j of image i comes from image (i + j) mod b: image s gives strip (s - i) mod b
+        picks = [np.flatnonzero(strips[s] == (s - i) % b) for s in range(b)]
+        order = np.argsort(np.concatenate([img.cell_ids[p] for img, p in zip(images, picks)]))
+        for field, mixed in zip(fields, out):
+            mixed.append(np.concatenate([f[p] for f, p in zip(field, picks)])[order])
+    if confidence is None:
+        out.append(None)
+    return tuple(out)
 
 
 def inclination_bands(scan: PointScan, sensor: SensorSpec, num_bands: int) -> np.ndarray:

@@ -3,8 +3,8 @@
 Each view owns a small per-cell MLP: a one-hidden-layer trunk shared by a
 linear segmentation head (class logits) and a three-layer projection head
 whose output is L2-normalized into the shared embedding space.  Cells are
-processed as rows of a (num_cells, channels) matrix; only cells covered by
-the view's validity mask are ever evaluated.
+processed as rows of a (num_cells, channels) matrix; only the covered cells
+of the view's cell table are ever evaluated.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import FormatError, NumericError
-from .projection import RangeImage, VoxelGrid, valid_mask
+from .projection import CategoricalGrid, RangeImage, VoxelGrid
 
 LEAKY_SLOPE = 0.01
 
@@ -169,8 +169,7 @@ def _view_of(state: ModelState, grid) -> ViewParams:
 
 def valid_cells(grid) -> np.ndarray:
     """Feature rows of the covered cells, in row-major cell order (float64)."""
-    mask = valid_mask(grid)
-    return grid.grid[mask]
+    return grid.cells
 
 
 def forward_segment(state: ModelState, grid) -> Tensor:
@@ -195,14 +194,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def probs_grid(grid, logits: Tensor, num_classes: int):
-    """Scatter per-cell softmax probabilities back onto the full grid."""
-    from .projection import CategoricalGrid  # local to dodge a cycle at import time
-    mask = valid_mask(grid)
-    full = np.zeros(mask.shape + (num_classes,), dtype=np.float64)
+def probs_grid(grid, logits: Tensor, num_classes: int) -> CategoricalGrid:
+    """Per-cell softmax probabilities: one row per covered cell of the grid."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    full[mask] = softmax(data)
-    return CategoricalGrid(domain=grid.domain, num_classes=num_classes, probs=full)
+    if data.shape != (grid.num_cells, num_classes):
+        raise ValueError(f"logits of shape {data.shape} for {grid.num_cells} cells "
+                         f"and {num_classes} classes")
+    return CategoricalGrid(domain=grid.domain, num_classes=num_classes, probs=softmax(data))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,18 @@ azimuth over [-pi, pi) into W sectors, z over [z_min, z_max] into L layers
 (clamped at both ends).  A voxel's channels are the mean over its member
 points of (rho, x, y, z, point features).
 
-Soft class fields living on one grid move to the other by composing the
-per-point lookup with the destination's aggregation rule (winner pixel for
-the range image, member mean for the voxel grid); argmax of the moved
-field gives hard labels, its max gives a confidence.
+Each view is stored as a cell table built from the one sort its projection
+does: the channel rows of the covered cells only, in row-major cell order,
+their sorted flat ids, each point's row (``cell_of_point``), and the
+range winners or the voxel CSR members.  No dense array is allocated; the
+dense grids (``grid``, ``valid``, ``point_index``, ``occupied``) are
+derived on access for inspection and never stored.
+
+Soft class fields are per cell.  One moves to the other view by a gather
+through ``cell_of_point`` followed by the destination's aggregation rule
+(winner pixel for the range image, member mean for the voxel grid); argmax
+of the moved field gives hard labels, its max gives a confidence.  Hard
+fields have no class axis and are scattered once into dense grids.
 """
 
 from __future__ import annotations
@@ -36,50 +44,111 @@ from .scans import PointScan, SensorSpec
 
 
 @dataclass
-class RangeImage:
-    grid: np.ndarray          # (U, V, 4 + C) f64
-    valid: np.ndarray         # (U, V) bool
-    point_index: np.ndarray   # (U, V) int64, -1 where empty, else winning point id
-    pixel_of_point: np.ndarray  # (N, 2) int64 rows (u, v)
+class _CellTable:
+    """A grid view stored as one row per covered cell.
+
+    ``cells`` holds the channel rows of the covered cells in row-major cell
+    order, ``cell_ids`` their sorted flat ids in the grid of ``shape``, and
+    ``cell_of_point`` each point's row in ``cells``.  Dense grids are derived
+    on access and never stored.
+    """
+
+    shape: tuple              # grid shape: (U, V) or (H, W, L)
+    cells: np.ndarray         # (M, 4 + C) f64 channel rows of the covered cells
+    cell_ids: np.ndarray      # (M,) int64 sorted flat ids of the covered cells
+    cell_of_point: np.ndarray  # (N,) int64 row of each point's cell in cells
+
+    @property
+    def num_points(self) -> int:
+        return self.cell_of_point.shape[0]
+
+    @property
+    def num_cells(self) -> int:
+        return self.cell_ids.shape[0]
+
+    def scatter(self, values, fill=0) -> np.ndarray:
+        """A fresh dense grid holding one row of ``values`` per covered cell."""
+        values = np.asarray(values)
+        out = np.zeros((math.prod(self.shape),) + values.shape[1:], dtype=values.dtype)
+        if fill:
+            out.fill(fill)
+        out[self.cell_ids] = values
+        return out.reshape(tuple(self.shape) + values.shape[1:])
+
+    def at_cells(self, field) -> np.ndarray:
+        """The rows of a dense grid field at the covered cells, in ``cells`` order."""
+        field = np.asarray(field)
+        k = len(self.shape)
+        if field.shape[:k] != tuple(self.shape):
+            raise ValueError(f"a field of shape {field.shape} does not cover the grid {self.shape}")
+        return field.reshape((-1,) + field.shape[k:])[self.cell_ids]
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The dense channel grid, zero where not covered."""
+        return self.scatter(self.cells)
+
+    def _covered(self) -> np.ndarray:
+        return self.scatter(np.ones(self.num_cells, dtype=bool))
+
+    def _coords_of_point(self) -> np.ndarray:
+        flat = self.cell_ids[self.cell_of_point]
+        return np.stack(np.unravel_index(flat, self.shape), axis=1).astype(np.int64, copy=False)
+
+
+@dataclass
+class RangeImage(_CellTable):
+    """Range image of shape (U, V); a pixel's flat id is u * V + v."""
+
+    winners: np.ndarray       # (M,) int64 winning point id of each covered pixel
 
     domain = "range"
 
     @property
-    def num_points(self) -> int:
-        return self.pixel_of_point.shape[0]
+    def valid(self) -> np.ndarray:
+        """(U, V) bool coverage."""
+        return self._covered()
 
     @property
-    def shape(self):
-        return self.grid.shape[:2]
+    def point_index(self) -> np.ndarray:
+        """(U, V) int64 winning point id, -1 where empty."""
+        return self.scatter(self.winners, fill=-1)
+
+    @property
+    def pixel_of_point(self) -> np.ndarray:
+        """(N, 2) int64 rows (u, v)."""
+        return self._coords_of_point()
 
 
 @dataclass
-class VoxelGrid:
-    grid: np.ndarray          # (H, W, L, 4 + C) f64 mean features
-    occupied: np.ndarray      # (H, W, L) bool
-    voxel_of_point: np.ndarray  # (N, 3) int64 rows (h, w, l)
+class VoxelGrid(_CellTable):
+    """Voxel grid of shape (H, W, L); a voxel's flat id is (h * W + w) * L + l."""
+
     member_order: np.ndarray  # (N,) point ids grouped by voxel
-    member_starts: np.ndarray  # (num_occupied + 1,) CSR offsets into member_order
-    occupied_flat: np.ndarray  # (num_occupied,) flat voxel ids, sorted
+    member_starts: np.ndarray  # (M + 1,) CSR offsets into member_order
 
     domain = "voxel"
 
     @property
-    def num_points(self) -> int:
-        return self.voxel_of_point.shape[0]
+    def occupied(self) -> np.ndarray:
+        """(H, W, L) bool coverage."""
+        return self._covered()
 
     @property
-    def shape(self):
-        return self.grid.shape[:3]
+    def voxel_of_point(self) -> np.ndarray:
+        """(N, 3) int64 rows (h, w, l)."""
+        return self._coords_of_point()
 
 
 @dataclass
 class CategoricalGrid:
-    """A per-cell class field on one grid view.
+    """A class field on one grid view.
 
-    Either soft (``probs`` with a trailing class axis) or hard (``labels``
-    plus optional ``confidence``).  Cells not covered by the companion
-    grid's validity mask are meaningless.
+    Soft fields (``probs``) are per cell: one row of class probabilities per
+    covered cell of the view, in its ``cells`` order.  Hard fields
+    (``labels`` plus optional ``confidence``) have no class axis and are
+    dense over the view's whole grid; cells the view does not cover hold
+    label 0 and confidence 0 and are meaningless.
     """
 
     domain: str               # "range" | "voxel"
@@ -122,25 +191,31 @@ def project_to_range(scan: PointScan, sensor: SensorSpec) -> RangeImage:
     v = np.clip(v, 0, v_dim - 1)
 
     n = scan.num_points
-    grid = np.zeros((u_dim, v_dim, 4 + scan.num_features), dtype=np.float64)
-    point_index = np.full((u_dim, v_dim), -1, dtype=np.int64)
-    if n:
-        flat = u * v_dim + v
-        order = np.lexsort((np.arange(n), r, flat))  # by pixel, then range, then id
-        first = np.ones(n, dtype=bool)
-        first[1:] = flat[order[1:]] != flat[order[:-1]]
-        winners = order[first]
-        point_index[u[winners], v[winners]] = winners
-        pos64 = scan.positions.astype(np.float64)
-        grid[u[winners], v[winners], 0] = r[winners]
-        grid[u[winners], v[winners], 1:4] = pos64[winners]
-        grid[u[winners], v[winners], 4:] = scan.features[winners].astype(np.float64)
-    return RangeImage(
-        grid=grid,
-        valid=point_index >= 0,
-        point_index=point_index,
-        pixel_of_point=np.stack([u, v], axis=1) if n else np.empty((0, 2), dtype=np.int64),
-    )
+    flat = u * v_dim + v
+    order = np.lexsort((np.arange(n), r, flat))  # by pixel, then range, then id
+    first = np.ones(n, dtype=bool)
+    first[1:] = flat[order[1:]] != flat[order[:-1]]
+    winners = order[first]
+    cells = np.concatenate([r[winners, None], scan.positions[winners].astype(np.float64),
+                            scan.features[winners].astype(np.float64)], axis=1)
+    return RangeImage(shape=(u_dim, v_dim), cells=cells, cell_ids=flat[winners],
+                      cell_of_point=_rows_of_sorted(order, first), winners=winners)
+
+
+def _rows_of_sorted(order: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Cell row of every point, given the points sorted by cell (``order``)
+    and the flags that mark each cell's first point in that order."""
+    rows = np.empty(order.shape[0], dtype=np.int64)
+    rows[order] = np.cumsum(first) - 1
+    return rows
+
+
+def _cell_means(cell_of_point: np.ndarray, num_cells: int, values: np.ndarray) -> np.ndarray:
+    """Mean of per-point rows over each cell's points, summed in point order."""
+    sums = np.zeros((num_cells, values.shape[1]), dtype=np.float64)
+    np.add.at(sums, cell_of_point, values)
+    counts = np.bincount(cell_of_point, minlength=num_cells).astype(np.float64)
+    return sums / counts[:, None]
 
 
 def _voxel_bins(positions: np.ndarray, sensor: SensorSpec):
@@ -163,39 +238,22 @@ def project_to_voxel(scan: PointScan, sensor: SensorSpec) -> VoxelGrid:
     rho, h, w, l = _voxel_bins(scan.positions, sensor)
     feats = np.concatenate(
         [rho[:, None], scan.positions.astype(np.float64), scan.features.astype(np.float64)],
-        axis=1,
-    ) if n else np.empty((0, 4 + scan.num_features))
+        axis=1)
 
-    grid = np.zeros((h_dim, w_dim, l_dim, 4 + scan.num_features), dtype=np.float64)
-    occupied = np.zeros((h_dim, w_dim, l_dim), dtype=bool)
-    if n:
-        flat = (h * w_dim + w) * l_dim + l
-        member_order = np.argsort(flat, kind="stable").astype(np.int64)
-        sorted_flat = flat[member_order]
-        boundaries = np.ones(n, dtype=bool)
-        boundaries[1:] = sorted_flat[1:] != sorted_flat[:-1]
-        starts = np.nonzero(boundaries)[0]
-        occupied_flat = sorted_flat[starts]
-        member_starts = np.concatenate([starts, [n]]).astype(np.int64)
-
-        sums = np.zeros((h_dim * w_dim * l_dim, feats.shape[1]), dtype=np.float64)
-        np.add.at(sums, flat, feats)
-        counts = np.bincount(flat, minlength=h_dim * w_dim * l_dim).astype(np.float64)
-        mean = sums[occupied_flat] / counts[occupied_flat, None]
-        grid.reshape(-1, feats.shape[1])[occupied_flat] = mean
-        occupied.reshape(-1)[occupied_flat] = True
-    else:
-        member_order = np.empty(0, dtype=np.int64)
-        member_starts = np.zeros(1, dtype=np.int64)
-        occupied_flat = np.empty(0, dtype=np.int64)
-
+    flat = (h * w_dim + w) * l_dim + l
+    member_order = np.argsort(flat, kind="stable").astype(np.int64)
+    sorted_flat = flat[member_order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_flat[1:] != sorted_flat[:-1]
+    starts = np.flatnonzero(first)
+    cell_of_point = _rows_of_sorted(member_order, first)
     return VoxelGrid(
-        grid=grid,
-        occupied=occupied,
-        voxel_of_point=np.stack([h, w, l], axis=1) if n else np.empty((0, 3), dtype=np.int64),
+        shape=(h_dim, w_dim, l_dim),
+        cells=_cell_means(cell_of_point, starts.shape[0], feats),
+        cell_ids=sorted_flat[starts],
+        cell_of_point=cell_of_point,
         member_order=member_order,
-        member_starts=member_starts,
-        occupied_flat=occupied_flat,
+        member_starts=np.append(starts, n).astype(np.int64),
     )
 
 
@@ -204,14 +262,10 @@ def project_to_voxel(scan: PointScan, sensor: SensorSpec) -> VoxelGrid:
 # ---------------------------------------------------------------------------
 
 def cells_to_points(view, cell_values: np.ndarray) -> np.ndarray:
-    """Read a per-cell array back onto points (each point reads its own cell)."""
-    if isinstance(view, RangeImage):
-        u, v = view.pixel_of_point[:, 0], view.pixel_of_point[:, 1]
-        return np.asarray(cell_values)[u, v]
-    if isinstance(view, VoxelGrid):
-        h, w, l = (view.voxel_of_point[:, i] for i in range(3))
-        return np.asarray(cell_values)[h, w, l]
-    raise TypeError(f"not a grid view: {type(view).__name__}")
+    """Read a dense grid field back onto points (each point reads its own cell)."""
+    if not isinstance(view, _CellTable):
+        raise TypeError(f"not a grid view: {type(view).__name__}")
+    return view.at_cells(cell_values)[view.cell_of_point]
 
 
 def _require_domain(cat: CategoricalGrid, view):
@@ -220,52 +274,49 @@ def _require_domain(cat: CategoricalGrid, view):
 
 
 def _points_to_cells(view, point_values: np.ndarray) -> np.ndarray:
-    """Aggregate per-point vectors onto cells: winner for range, mean for voxel."""
+    """Aggregate per-point vectors onto the covered cells, one row per cell in
+    ``cells`` order: the winner's row for range, the member mean for voxel."""
     vals = np.asarray(point_values, dtype=np.float64)
     if vals.shape[0] != view.num_points:
         raise ValueError("per-point array length does not match the view")
-    k = vals.shape[1]
     if isinstance(view, RangeImage):
-        out = np.zeros(view.shape + (k,), dtype=np.float64)
-        idx = view.point_index[view.valid]
-        out[view.valid] = vals[idx]
-        return out
+        return vals[view.winners]
     if isinstance(view, VoxelGrid):
-        h_dim, w_dim, l_dim = view.shape
-        flat = (view.voxel_of_point[:, 0] * w_dim + view.voxel_of_point[:, 1]) * l_dim \
-            + view.voxel_of_point[:, 2]
-        sums = np.zeros((h_dim * w_dim * l_dim, k), dtype=np.float64)
-        np.add.at(sums, flat, vals)
-        counts = np.bincount(flat, minlength=h_dim * w_dim * l_dim).astype(np.float64)
-        out = np.zeros((h_dim * w_dim * l_dim, k), dtype=np.float64)
-        occ = counts > 0
-        out[occ] = sums[occ] / counts[occ, None]
-        return out.reshape(h_dim, w_dim, l_dim, k)
+        return _cell_means(view.cell_of_point, view.num_cells, vals)
     raise TypeError(f"not a grid view: {type(view).__name__}")
+
+
+def _hard_field(view, moved: np.ndarray, num_classes: int) -> CategoricalGrid:
+    """Argmax labels (ties to the smallest class id) and max confidences of a
+    per-cell soft field, scattered once into dense grids."""
+    return CategoricalGrid(
+        domain=view.domain,
+        num_classes=num_classes,
+        labels=view.scatter(np.argmax(moved, axis=-1).astype(np.int64)),
+        confidence=view.scatter(np.max(moved, axis=-1)),
+    )
 
 
 def cross_transfer(src_cat: CategoricalGrid, src_view, dst_view) -> CategoricalGrid:
     """Move a soft class field from one view to the other; return hard labels
     with confidences on the destination grid.
 
-    Ties in the argmax resolve to the smallest class id.  The construction
-    is pure numpy on detached arrays; nothing here carries gradients.
+    Each destination point reads its source cell's row; the destination
+    then aggregates those rows per cell.  Ties in the argmax resolve to the
+    smallest class id.  The construction is pure numpy on detached arrays;
+    nothing here carries gradients.
     """
     _require_domain(src_cat, src_view)
     if not src_cat.is_soft:
         raise ValueError("cross_transfer needs a soft (probs) field")
     if src_view.num_points != dst_view.num_points:
         raise ValueError("source and destination views describe different scans")
-    per_point = cells_to_points(src_view, src_cat.probs)
-    moved = _points_to_cells(dst_view, per_point)
-    labels = np.argmax(moved, axis=-1).astype(np.int64)  # first max = smallest id
-    confidence = np.max(moved, axis=-1)
-    return CategoricalGrid(
-        domain=dst_view.domain,
-        num_classes=src_cat.num_classes,
-        labels=labels,
-        confidence=confidence,
-    )
+    probs = np.asarray(src_cat.probs)
+    if probs.shape[0] != src_view.num_cells:
+        raise ValueError(f"soft field has {probs.shape[0]} rows, "
+                         f"the view covers {src_view.num_cells} cells")
+    moved = _points_to_cells(dst_view, probs[src_view.cell_of_point])
+    return _hard_field(dst_view, moved, src_cat.num_classes)
 
 
 def point_labels_to_grid(view, labels: np.ndarray, num_classes: int) -> CategoricalGrid:
@@ -279,12 +330,4 @@ def point_labels_to_grid(view, labels: np.ndarray, num_classes: int) -> Categori
     one_hot = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     keep = labels < num_classes  # sentinel-labelled points contribute nothing
     one_hot[np.nonzero(keep)[0], labels[keep].astype(np.int64)] = 1.0
-    moved = _points_to_cells(view, one_hot)
-    hard = np.argmax(moved, axis=-1).astype(np.int64)
-    conf = np.max(moved, axis=-1)
-    return CategoricalGrid(domain=view.domain, num_classes=num_classes,
-                           labels=hard, confidence=conf)
-
-
-def valid_mask(view) -> np.ndarray:
-    return view.valid if isinstance(view, RangeImage) else view.occupied
+    return _hard_field(view, _points_to_cells(view, one_hot), num_classes)

@@ -132,6 +132,8 @@ class PointScan:
             raise ConfigError("labels must be (N,)")
         if self.num_classes < 1 or self.num_classes > UNLABELLED:
             raise ConfigError("num_classes out of range")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.features).all()):
+            raise ConfigError("positions and features must be finite")
         ranges = np.linalg.norm(self.positions.astype(np.float64), axis=1)
         if n and not (ranges > 0).all():
             raise ConfigError("every point must have positive range")

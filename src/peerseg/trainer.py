@@ -34,8 +34,7 @@ from .autodiff import Tensor
 from .augment import cutmix_range, lasermix_voxel, make_mix_plan
 from .errors import ConfigError, NumericError
 from .metrics import ConfusionMatrix, fuse_predictions
-from .projection import (cells_to_points, point_labels_to_grid, project_to_range,
-                         project_to_voxel, valid_mask)
+from .projection import point_labels_to_grid, project_to_range, project_to_voxel
 from .scans import PointScan, SensorSpec
 
 METRIC_KEYS = ("epoch", "lr", "loss_total", "loss_range_labelled", "loss_range_pseudo",
@@ -100,43 +99,41 @@ class _Bundle:
     targets: tuple | None = None      # per view: labels at the covered cells
 
 
+def _bundle(scan, sensor, with_targets):
+    grids = (project_to_range(scan, sensor), project_to_voxel(scan, sensor))
+    targets = tuple(g.at_cells(point_labels_to_grid(g, scan.labels, scan.num_classes).labels)
+                    for g in grids) if with_targets else None
+    return _Bundle(scan, grids, targets)
+
+
 def _prepare(scans, sensor, with_targets=True):
-    bundles = []
-    for scan in scans:
-        grids = (project_to_range(scan, sensor), project_to_voxel(scan, sensor))
-        targets = tuple(point_labels_to_grid(g, scan.labels, scan.num_classes).labels[valid_mask(g)]
-                        for g in grids) if with_targets else None
-        bundles.append(_Bundle(scan, grids, targets))
-    return bundles
+    return [_bundle(scan, sensor, with_targets) for scan in scans]
 
 
-def _cutmix_cells(batch, pseudo, plan, sensor, y_count):
+def _cutmix_cells(batch, labels, plan, sensor, y_count):
     """Column CutMix of the range images: per-scan mixed cells and targets."""
-    images = np.stack([b.grids[0].grid for b in batch])
-    valid = np.stack([b.grids[0].valid for b in batch])
-    labels = np.stack([p.labels for p in pseudo])
-    mix_img, mix_valid, mix_lab, _ = cutmix_range(images, valid, labels, None, plan)
-    return ([img[ok] for img, ok in zip(mix_img, mix_valid)],
-            [lab[ok] for lab, ok in zip(mix_lab, mix_valid)])
+    cells, _, targets, _ = cutmix_range([b.grids[0] for b in batch], labels, None, plan)
+    return cells, targets
 
 
-def _lasermix_cells(batch, pseudo, plan, sensor, y_count):
+def _lasermix_cells(batch, labels, plan, sensor, y_count):
     """Each scan band-mixed with the next one in point space, then
     re-voxelized: per-scan mixed cells and majority-vote targets."""
     cells, targets = [], []
     for i, a in enumerate(batch):
         j = (i + 1) % len(batch)
         b = batch[j]
-        mixed, labels = lasermix_voxel(
-            a.scan, b.scan, cells_to_points(a.grids[1], pseudo[i].labels),
-            cells_to_points(b.grids[1], pseudo[j].labels), sensor, plan)
+        mixed, point_labels = lasermix_voxel(
+            a.scan, b.scan, labels[i][a.grids[1].cell_of_point],
+            labels[j][b.grids[1].cell_of_point], sensor, plan)
         vox = project_to_voxel(mixed, sensor)
-        cells.append(model_mod.valid_cells(vox))
-        targets.append(point_labels_to_grid(vox, labels, y_count).labels[vox.occupied])
+        cells.append(vox.cells)
+        targets.append(vox.at_cells(point_labels_to_grid(vox, point_labels, y_count).labels))
     return cells, targets
 
 
-MIXERS = (_cutmix_cells, _lasermix_cells)   # per view, in VIEWS order
+# per view, in VIEWS order; each takes the batch's pseudo labels at its covered cells
+MIXERS = (_cutmix_cells, _lasermix_cells)
 
 
 def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
@@ -213,15 +210,15 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
         return hidden, model_mod.segment_logits(params[k], hidden), list(zip([0] + stops, stops))
 
     def forward_batch(k, batch):
-        return forward(k, [model_mod.valid_cells(b.grids[k]) for b in batch])
+        return forward(k, [b.grids[k].cells for b in batch])
 
     def supervised(logits, targets, slices):
         return losses_mod.set_supervised_loss(logits, targets, slices,
                                               config.ce_weight, config.lovasz_weight)
 
     def covered(fields, batch, k, attr):
-        return np.concatenate([getattr(f, attr)[valid_mask(b.grids[k])]
-                               for f, b in zip(fields, batch)])
+        """Per scan, the dense fields' attr read at view k's covered cells."""
+        return [b.grids[k].at_cells(getattr(f, attr)) for f, b in zip(fields, batch)]
 
     # labelled forward, per view: (hidden, logits, slices)
     lab = [forward_batch(k, batch_lab) for k in range(2)]
@@ -239,8 +236,10 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
         # pseudo[k][i]: scan i's labels for view k, moved over from the other view
         pseudo = list(zip(*(losses_mod.make_pseudo_labels(rp, vp, *b.grids)
                             for rp, vp, b in zip(*probs, batch_unlab))))
-        pseudo_t = [covered(pseudo[k], batch_unlab, k, "labels") for k in range(2)]
-        pseudo_c = [covered(pseudo[k], batch_unlab, k, "confidence") for k in range(2)]
+        pseudo_cells = [covered(pseudo[k], batch_unlab, k, "labels") for k in range(2)]
+        pseudo_t = [np.concatenate(c) for c in pseudo_cells]
+        pseudo_c = [np.concatenate(covered(pseudo[k], batch_unlab, k, "confidence"))
+                    for k in range(2)]
         ramp = config.pseudo_weight
         if config.pseudo_ramp_epochs > 0:
             ramp *= min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
@@ -249,7 +248,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
         for k in range(2):
             if config.use_augmentation:
                 # pseudo terms on mixed inputs with mixed targets
-                cells, targets = MIXERS[k](batch_unlab, pseudo[k], plan, sensor, y_count)
+                cells, targets = MIXERS[k](batch_unlab, pseudo_cells[k], plan, sensor, y_count)
                 _, logits, slices = forward(k, cells)
                 loss = supervised(logits, np.concatenate(targets), slices)
             else:
@@ -309,7 +308,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
 
 def predict_point_probs(state, sensor, scan):
     """Per-point class probabilities from both views for one scan."""
-    return _bundle_point_probs(state, _prepare([scan], sensor, with_targets=False)[0])
+    return _bundle_point_probs(state, _bundle(scan, sensor, with_targets=False))
 
 
 def _bundle_point_probs(state, bundle):
@@ -317,7 +316,7 @@ def _bundle_point_probs(state, bundle):
     for grid in bundle.grids:
         logits = model_mod.forward_segment(state, grid)
         cat = model_mod.probs_grid(grid, logits, state.num_classes)
-        out.append(cells_to_points(grid, cat.probs))
+        out.append(cat.probs[grid.cell_of_point])
     return tuple(out)
 
 
@@ -350,7 +349,8 @@ def evaluate(state, sensor, scans, protocol="global", include_fused=False):
     """Per-view (optionally fused) IoU metrics over labelled scans."""
     if not scans:
         raise ConfigError("need at least one scan to evaluate")
-    bundles = _prepare(scans, sensor, with_targets=False)
+    # one scan at a time, so memory does not grow with the split
+    bundles = (_bundle(scan, sensor, with_targets=False) for scan in scans)
     out = _evaluate_bundles(state, bundles, scans[0].num_classes, protocol, include_fused)
     out["protocol"] = protocol
     return out

@@ -28,7 +28,7 @@ from peerseg.gmm import (AnchorSet, ClassSamples, contrastive_loss, em_update,
 from peerseg.losses import (cross_entropy_loss, dual_view_loss,
                             lovasz_softmax_loss, make_pseudo_labels,
                             softmax_probs)
-from peerseg.projection import (cells_to_points, point_labels_to_grid,
+from peerseg.projection import (RangeImage, cells_to_points, point_labels_to_grid,
                                 project_to_range, project_to_voxel)
 from peerseg.scans import PointScan
 from peerseg.trainer import ABLATION_ROWS
@@ -448,14 +448,34 @@ def _selfmix_violations(scan, labels, mixed, ml):
     return 0 if same else 1
 
 
+def _cutmix_dense(images, valid, labels, conf, plan):
+    """cutmix_range on the cell tables of a dense batch (each covered pixel its
+    own point), read back as dense grids that are zero off the mixed coverage.
+    Returns (images, valid, labels, conf, whether every output is row-major)."""
+    def table(shape, cells, ids):
+        return RangeImage(shape, cells, ids, np.arange(ids.shape[0]), np.arange(ids.shape[0]))
+
+    views = [table(ok.shape, img[ok], np.flatnonzero(ok)) for img, ok in zip(images, valid)]
+    cells, ids, mixed_labels, mixed_conf = cutmix_range(
+        views, [lab[ok] for lab, ok in zip(labels, valid)],
+        [c[ok] for c, ok in zip(conf, valid)], plan)
+    out = [table(valid.shape[1:], c, i) for c, i in zip(cells, ids)]
+    return (np.stack([v.grid for v in out]), np.stack([v.valid for v in out]),
+            np.stack([v.scatter(lab) for v, lab in zip(out, mixed_labels)]),
+            np.stack([v.scatter(c) for v, c in zip(out, mixed_conf)]),
+            all((np.diff(i) > 0).all() for i in ids))
+
+
 def _cutmix_violations(rng, batch, height, width):
     plan = make_mix_plan(batch, width, 4)
     images = rng.normal(size=(batch, height, width, 3))
     valid = rng.random((batch, height, width)) < 0.8
     labels = rng.integers(0, 1 << 30, (batch, height, width))
     conf = rng.random((batch, height, width))
-    oi, ov, ol, oc = cutmix_range(images, valid, labels, conf, plan)
-    bad = 0
+    # a cell table keeps nothing of an uncovered pixel
+    images, labels, conf = images * valid[..., None], labels * valid, conf * valid
+    oi, ov, ol, oc, row_major = _cutmix_dense(images, valid, labels, conf, plan)
+    bad = 0 if row_major else 1
     if sum(e - s for s, e in plan.intervals) != width:
         bad += 1
     for i in range(batch):
@@ -476,8 +496,9 @@ def _cutmix_identity_violations(rng, batch, height, width):
     valid = np.repeat(rng.random((1, height, width)) < 0.8, batch, axis=0)
     labels = np.repeat(rng.integers(0, 9, (1, height, width)), batch, axis=0)
     conf = np.repeat(rng.random((1, height, width)), batch, axis=0)
-    oi, ov, ol, oc = cutmix_range(images, valid, labels, conf, plan)
-    same = (np.array_equal(oi, images) and np.array_equal(ov, valid)
+    images, labels, conf = images * valid[..., None], labels * valid, conf * valid
+    oi, ov, ol, oc, row_major = _cutmix_dense(images, valid, labels, conf, plan)
+    same = (row_major and np.array_equal(oi, images) and np.array_equal(ov, valid)
             and np.array_equal(ol, labels) and np.array_equal(oc, conf))
     return 0 if same else 1
 

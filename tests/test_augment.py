@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from peerseg import (MixPlan, PointScan, SensorSpec, cutmix_range,
+from peerseg import (MixPlan, PointScan, RangeImage, SensorSpec, cutmix_range,
                      inclination_bands, lasermix_voxel, make_mix_plan)
 
 
@@ -52,18 +52,47 @@ def test_plan_validation():
 # ---------------------------------------------------------------------------
 
 def batch_grids(rng, b, u=4, v=8, c=2):
+    """Dense batch; content, labels and confidence are zero off the covered pixels."""
     images = rng.normal(size=(b, u, v, c))
     valid = rng.uniform(size=(b, u, v)) < 0.7
     labels = rng.integers(0, 3, size=(b, u, v))
     conf = rng.uniform(size=(b, u, v))
-    return images, valid, labels, conf
+    return images * valid[..., None], valid, labels * valid, conf * valid
+
+
+def cell_tables(images, valid, labels, conf):
+    """One RangeImage per dense image (each covered pixel its own point) and
+    its labels and confidences at the covered pixels."""
+    views = []
+    for img, ok in zip(images, valid):
+        ids = np.flatnonzero(ok)
+        views.append(RangeImage(shape=ok.shape, cells=img[ok], cell_ids=ids,
+                                cell_of_point=np.arange(ids.shape[0]),
+                                winners=np.arange(ids.shape[0])))
+    return (views, [lab[ok] for lab, ok in zip(labels, valid)],
+            None if conf is None else [c[ok] for c, ok in zip(conf, valid)])
+
+
+def mix_dense(images, valid, labels, conf, plan):
+    """cutmix_range on the batch's cell tables, read back as dense grids."""
+    views, labs, confs = cell_tables(images, valid, labels, conf)
+    cells, ids, mixed_labels, mixed_conf = cutmix_range(views, labs, confs, plan)
+    for i in ids:
+        assert (np.diff(i) > 0).all()  # row-major order
+    view = [RangeImage(valid.shape[1:], c, i, np.arange(i.shape[0]), np.arange(i.shape[0]))
+            for c, i in zip(cells, ids)]
+    out = [np.stack([v.grid for v in view]), np.stack([v.valid for v in view]),
+           np.stack([v.scatter(lab) for v, lab in zip(view, mixed_labels)])]
+    out.append(None if conf is None else
+               np.stack([v.scatter(c) for v, c in zip(view, mixed_conf)]))
+    return tuple(out)
 
 
 def test_cutmix_two_element_oracle():
     rng = np.random.default_rng(0)
     images, valid, labels, conf = batch_grids(rng, 2)
     plan = make_mix_plan(2, 8, 2)
-    mi, mv, ml, mc = cutmix_range(images, valid, labels, conf, plan)
+    mi, mv, ml, mc = mix_dense(images, valid, labels, conf, plan)
     # element 0: columns 0..3 native, 4..7 from element 1
     assert np.array_equal(mi[0, :, :4], images[0, :, :4])
     assert np.array_equal(mi[0, :, 4:], images[1, :, 4:])
@@ -77,7 +106,7 @@ def test_cutmix_batch_of_one_is_identity():
     rng = np.random.default_rng(1)
     images, valid, labels, conf = batch_grids(rng, 1)
     plan = make_mix_plan(1, 8, 2)
-    mi, mv, ml, mc = cutmix_range(images, valid, labels, conf, plan)
+    mi, mv, ml, mc = mix_dense(images, valid, labels, conf, plan)
     assert np.array_equal(mi, images)
     assert np.array_equal(mv, valid)
     assert np.array_equal(ml, labels)
@@ -92,7 +121,7 @@ def test_cutmix_self_mix_identity():
     labels = np.repeat(labels, 3, axis=0)
     conf = np.repeat(conf, 3, axis=0)
     plan = make_mix_plan(3, 8, 2)
-    mi, mv, ml, mc = cutmix_range(images, valid, labels, conf, plan)
+    mi, mv, ml, mc = mix_dense(images, valid, labels, conf, plan)
     assert np.array_equal(mi, images) and np.array_equal(ml, labels)
     assert np.array_equal(mv, valid) and np.array_equal(mc, conf)
 
@@ -108,7 +137,7 @@ def test_cutmix_label_source_consistency_sentinels():
         labels[i] = i  # sentinel-distinct labels per source
     valid = np.ones((b, u, v), dtype=bool)
     plan = make_mix_plan(b, v, 2)
-    mi, _, ml, _ = cutmix_range(images, valid, labels, None, plan)
+    mi, _, ml, _ = mix_dense(images, valid, labels, None, plan)
     # wherever the content came from scan s, the label must also be s
     assert np.array_equal(mi[..., 0].astype(int), ml)
     for i in range(b):
@@ -120,7 +149,7 @@ def test_cutmix_conserves_valid_pixels():
     rng = np.random.default_rng(4)
     images, valid, labels, conf = batch_grids(rng, 3, v=10)
     plan = make_mix_plan(3, 10, 2)
-    _, mv, _, _ = cutmix_range(images, valid, labels, conf, plan)
+    _, mv, _, _ = mix_dense(images, valid, labels, conf, plan)
     for i in range(3):
         want = sum(valid[(i + j) % 3, :, a:b].sum()
                    for j, (a, b) in enumerate(plan.intervals))
@@ -131,11 +160,13 @@ def test_cutmix_conserves_valid_pixels():
 
 def test_cutmix_rejects_mismatched_plan():
     rng = np.random.default_rng(5)
-    images, valid, labels, conf = batch_grids(rng, 2)
+    views, labels, conf = cell_tables(*batch_grids(rng, 2))
     with pytest.raises(ValueError):
-        cutmix_range(images, valid, labels, conf, make_mix_plan(3, 8, 2))
+        cutmix_range(views, labels, conf, make_mix_plan(3, 8, 2))
     with pytest.raises(ValueError):
-        cutmix_range(images, valid, labels, conf, make_mix_plan(2, 12, 2))
+        cutmix_range(views, labels, conf, make_mix_plan(2, 12, 2))
+    with pytest.raises(ValueError):
+        cutmix_range(views, [lab[:-1] for lab in labels], conf, make_mix_plan(2, 8, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,18 @@ def test_corrupt_scan_exit_2(tmp_path, ini, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_scan_exit_2(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    victim = corpus / read_manifest(corpus)["eval"][0]
+    blob = bytearray(victim.read_bytes())
+    blob[20:24] = np.float32(np.inf).tobytes()  # x of the first point
+    victim.write_bytes(bytes(blob))
+    model = tmp_path / "model.it2m"
+    save_checkpoint(model, init_model(1, 3, 4, 4, 2))
+    assert main(["eval", "--model", str(model), "--data", str(corpus)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_numeric_blowup_exit_3(tmp_path, capsys):
     ini = tmp_path / "hot.ini"
     ini.write_text("[scene]\nnum_classes = 3\npoints_per_scan = 100\n"

@@ -206,11 +206,10 @@ def make_views():
 
 def test_make_pseudo_labels_swaps_directions():
     img, vox = make_views()
-    range_probs = np.zeros(img.shape + (2,))
-    for pix in img.pixel_of_point:
-        range_probs[tuple(pix)] = (0.9, 0.1)          # range net says class 0
-    voxel_probs = np.zeros(vox.shape + (2,))
-    voxel_probs[tuple(vox.voxel_of_point[0])] = (0.2, 0.8)  # voxel net says class 1
+    range_probs = np.zeros((img.num_cells, 2))        # soft fields are per covered cell
+    range_probs[img.cell_of_point] = (0.9, 0.1)       # range net says class 0
+    voxel_probs = np.zeros((vox.num_cells, 2))
+    voxel_probs[vox.cell_of_point[0]] = (0.2, 0.8)    # voxel net says class 1
     for_range, for_voxel = make_pseudo_labels(
         CategoricalGrid(domain="range", num_classes=2, probs=range_probs),
         CategoricalGrid(domain="voxel", num_classes=2, probs=voxel_probs),

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerseg import (CategoricalGrid, PointScan, SceneConfig, SensorSpec, UNLABELLED,
                      cells_to_points, cross_transfer, generate_scene,
                      point_labels_to_grid, project_to_range, project_to_voxel)
-from peerseg.projection import valid_mask
 
 SENSOR = SensorSpec()  # 32 beams, fov +10/-30, 32x96 image, (16,24,8) voxels, 25 m
 
@@ -116,7 +117,7 @@ def test_voxel_member_partition():
     assert np.array_equal(np.sort(vox.member_order), np.arange(500))
     assert vox.member_starts[-1] == 500
     # each point's recorded voxel agrees with the CSR grouping
-    for j, flat in enumerate(vox.occupied_flat[:20]):
+    for j, flat in enumerate(vox.cell_ids[:20]):
         ids = vox.member_order[vox.member_starts[j]:vox.member_starts[j + 1]]
         h, w, l = np.unravel_index(flat, vox.shape)
         assert (vox.voxel_of_point[ids] == [h, w, l]).all()
@@ -138,9 +139,9 @@ def two_point_views():
 
 def test_cross_transfer_range_to_voxel_averages():
     _, img, vox = two_point_views()
-    probs = np.zeros(img.shape + (2,))
-    probs[tuple(img.pixel_of_point[0])] = (0.9, 0.1)
-    probs[tuple(img.pixel_of_point[1])] = (0.2, 0.8)
+    probs = np.zeros((img.num_cells, 2))      # soft fields are per covered cell
+    probs[img.cell_of_point[0]] = (0.9, 0.1)
+    probs[img.cell_of_point[1]] = (0.2, 0.8)
     cat = CategoricalGrid(domain="range", num_classes=2, probs=probs)
     out = cross_transfer(cat, img, vox)
     h, w, l = vox.voxel_of_point[0]
@@ -151,8 +152,8 @@ def test_cross_transfer_range_to_voxel_averages():
 
 def test_cross_transfer_voxel_to_range_broadcasts():
     _, img, vox = two_point_views()
-    probs = np.zeros(vox.shape + (2,))
-    probs[tuple(vox.voxel_of_point[0])] = (0.3, 0.7)
+    probs = np.zeros((vox.num_cells, 2))
+    probs[vox.cell_of_point[0]] = (0.3, 0.7)
     cat = CategoricalGrid(domain="voxel", num_classes=2, probs=probs)
     out = cross_transfer(cat, vox, img)
     for pix in img.pixel_of_point:
@@ -162,9 +163,9 @@ def test_cross_transfer_voxel_to_range_broadcasts():
 
 def test_cross_transfer_argmax_tie_prefers_smaller_class():
     _, img, vox = two_point_views()
-    probs = np.zeros(img.shape + (2,))
-    probs[tuple(img.pixel_of_point[0])] = (0.1, 0.9)
-    probs[tuple(img.pixel_of_point[1])] = (0.9, 0.1)
+    probs = np.zeros((img.num_cells, 2))
+    probs[img.cell_of_point[0]] = (0.1, 0.9)
+    probs[img.cell_of_point[1]] = (0.9, 0.1)
     out = cross_transfer(CategoricalGrid(domain="range", num_classes=2, probs=probs),
                          img, vox)
     h, w, l = vox.voxel_of_point[0]
@@ -174,7 +175,7 @@ def test_cross_transfer_argmax_tie_prefers_smaller_class():
 
 def test_cross_transfer_rejects_mismatches():
     scan, img, vox = two_point_views()
-    probs = np.zeros(img.shape + (2,))
+    probs = np.zeros((img.num_cells, 2))
     cat = CategoricalGrid(domain="range", num_classes=2, probs=probs)
     with pytest.raises(ValueError):
         cross_transfer(cat, vox, img)  # domain mismatch
@@ -185,6 +186,9 @@ def test_cross_transfer_rejects_mismatches():
     other = project_to_range(make_scan([[1, 0, 0]]), SENSOR)
     with pytest.raises(ValueError):
         cross_transfer(cat, img, project_to_voxel(make_scan([[1, 0, 0]]), SENSOR))
+    dense = CategoricalGrid(domain="range", num_classes=2, probs=np.zeros(img.shape + (2,)))
+    with pytest.raises(ValueError):
+        cross_transfer(dense, img, vox)  # soft fields hold one row per covered cell
 
 
 def test_point_labels_majority_vote_in_voxel():
@@ -278,7 +282,123 @@ def test_valid_mask_matches_coverage():
     scan = generate_scene(SceneConfig(points_per_scan=300, rng_seed=4))
     img = project_to_range(scan, SENSOR)
     vox = project_to_voxel(scan, SENSOR)
-    assert np.array_equal(valid_mask(img), img.point_index >= 0)
+    assert np.array_equal(img.valid, img.point_index >= 0)
+    assert np.array_equal(np.flatnonzero(img.valid), img.cell_ids)
     covered = np.zeros(vox.shape, dtype=bool)
     covered[tuple(vox.voxel_of_point.T)] = True
-    assert np.array_equal(valid_mask(vox), covered)
+    assert np.array_equal(vox.occupied, covered)
+    assert np.array_equal(np.flatnonzero(covered), vox.cell_ids)
+
+
+# ---------------------------------------------------------------------------
+# cell tables against dense references built point by point
+# ---------------------------------------------------------------------------
+
+def _reference_bins(scan, sensor):
+    """Per-point pixel and voxel coordinates from the formulas in the module docstring."""
+    p = scan.positions.astype(np.float64)
+    r = np.linalg.norm(p, axis=1)
+    yaw = np.arctan2(p[:, 1], p[:, 0])
+    pitch = np.arcsin(np.clip(p[:, 2] / r, -1.0, 1.0))
+    lo, hi = math.radians(sensor.fov_down), math.radians(sensor.fov_up)
+    u_dim, v_dim = sensor.image_height, sensor.image_width
+    u = np.clip(np.floor((1.0 - (pitch - lo) / (hi - lo)) * u_dim).astype(np.int64), 0, u_dim - 1)
+    v = np.clip(np.floor(0.5 * (1.0 - yaw / math.pi) * v_dim).astype(np.int64), 0, v_dim - 1)
+    h_dim, w_dim, l_dim = sensor.voxel_dims
+    rho = np.hypot(p[:, 0], p[:, 1])
+    phi = np.arctan2(p[:, 1], p[:, 0])
+    phi = np.where(phi >= math.pi, phi - 2.0 * math.pi, phi)
+    h = np.clip(np.floor(rho / sensor.radial_max * h_dim).astype(np.int64), 0, h_dim - 1)
+    w = np.clip(np.floor((phi + math.pi) / (2.0 * math.pi) * w_dim).astype(np.int64), 0, w_dim - 1)
+    z01 = (p[:, 2] - sensor.z_min) / (sensor.z_max - sensor.z_min)
+    l = np.clip(np.floor(z01 * l_dim).astype(np.int64), 0, l_dim - 1)
+    return r, rho, np.stack([u, v], axis=1), np.stack([h, w, l], axis=1)
+
+
+def _dense_reference(scan, sensor):
+    """Dense range and voxel grids (channels, coverage, winners) filled one point at a time."""
+    r, rho, pix, vox = _reference_bins(scan, sensor)
+    c = 4 + scan.num_features
+    rgrid = np.zeros((sensor.image_height, sensor.image_width, c))
+    winner = np.full((sensor.image_height, sensor.image_width), -1)
+    vsum = np.zeros(tuple(sensor.voxel_dims) + (c,))
+    vcount = np.zeros(tuple(sensor.voxel_dims))
+    for i in range(scan.num_points):
+        pos = scan.positions[i].astype(np.float64)
+        feats = scan.features[i].astype(np.float64)
+        best = winner[tuple(pix[i])]
+        if best < 0 or (r[i], i) < (r[best], best):
+            winner[tuple(pix[i])] = i
+            rgrid[tuple(pix[i])] = np.concatenate([[r[i]], pos, feats])
+        vsum[tuple(vox[i])] += np.concatenate([[rho[i]], pos, feats])
+        vcount[tuple(vox[i])] += 1
+    occupied = vcount > 0
+    vgrid = np.zeros_like(vsum)
+    vgrid[occupied] = vsum[occupied] / vcount[occupied][:, None]
+    return pix, vox, (rgrid, winner >= 0, winner), (vgrid, occupied)
+
+
+def _dense_points_to_cells(view, vals):
+    """Dense per-cell aggregation (winner row for range, member mean for voxel)."""
+    k = vals.shape[1]
+    if view.domain == "range":
+        out = np.zeros(view.shape + (k,))
+        out[view.valid] = vals[view.point_index[view.valid]]
+        return out
+    flat = np.ravel_multi_index(tuple(view.voxel_of_point.T), view.shape)
+    size = int(np.prod(view.shape))
+    sums = np.zeros((size, k))
+    np.add.at(sums, flat, vals)
+    counts = np.bincount(flat, minlength=size).astype(np.float64)
+    out = np.zeros((size, k))
+    occ = counts > 0
+    out[occ] = sums[occ] / counts[occ, None]
+    return out.reshape(view.shape + (k,))
+
+
+def _dense_hard(moved):
+    return np.argmax(moved, axis=-1), np.max(moved, axis=-1)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+       image=st.tuples(st.integers(1, 10), st.integers(1, 24)),
+       voxels=st.tuples(st.integers(1, 6), st.integers(1, 8), st.integers(1, 5)),
+       repeats=st.integers(0, 10))
+def test_cell_tables_match_dense_references(seed, n, image, voxels, repeats):
+    rng = np.random.default_rng(seed)
+    sensor = SensorSpec(image_height=image[0], image_width=image[1], voxel_dims=voxels)
+    pos = rng.uniform(-30.0, 30.0, size=(n, 3))
+    pos[:, 2] = rng.uniform(-4.0, 4.0, size=n)
+    pos[rng.integers(0, n, size=repeats)] = pos[rng.integers(0, n, size=repeats)]  # shared cells, range ties
+    labels = rng.integers(0, 4, size=n)
+    labels[rng.random(n) < 0.2] = UNLABELLED
+    scan = make_scan(pos, labels=labels, feats=rng.uniform(size=(n, 2)), num_classes=4)
+    img, vox = project_to_range(scan, sensor), project_to_voxel(scan, sensor)
+    pix, vxl, (rgrid, rvalid, winner), (vgrid, occupied) = _dense_reference(scan, sensor)
+
+    for view, coords, grid, covered in ((img, pix, rgrid, rvalid), (vox, vxl, vgrid, occupied)):
+        assert np.array_equal(view.cell_ids, np.flatnonzero(covered))
+        assert np.array_equal(view.cells, grid[covered])
+        assert np.array_equal(view.cell_ids[view.cell_of_point],
+                              np.ravel_multi_index(tuple(coords.T), view.shape))
+    assert np.array_equal(img.pixel_of_point, pix)
+    assert np.array_equal(vox.voxel_of_point, vxl)
+    assert np.array_equal(img.winners, winner[rvalid])
+
+    # transfers and label gridding against the dense aggregation
+    for src, dst in ((img, vox), (vox, img)):
+        probs = rng.dirichlet(np.ones(4), size=src.num_cells)
+        moved = cross_transfer(CategoricalGrid(domain=src.domain, num_classes=4, probs=probs),
+                               src, dst)
+        want = _dense_hard(_dense_points_to_cells(dst, cells_to_points(src, src.scatter(probs))))
+        assert np.array_equal(moved.labels, want[0])
+        assert np.array_equal(moved.confidence, want[1])
+    for view in (img, vox):
+        one_hot = np.zeros((n, 4))
+        keep = labels < 4
+        one_hot[np.flatnonzero(keep), labels[keep]] = 1.0
+        cat = point_labels_to_grid(view, scan.labels, 4)
+        want = _dense_hard(_dense_points_to_cells(view, one_hot))
+        assert np.array_equal(cat.labels, want[0])
+        assert np.array_equal(cat.confidence, want[1])

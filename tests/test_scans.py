@@ -167,6 +167,29 @@ def test_read_scan_label_out_of_range(tmp_path):
     assert err.value.offset == off
 
 
+def _patched_scan(tmp_path, offset, value):
+    """A written scan with one float32 of its payload replaced."""
+    scan = generate_scene(small_cfg())
+    path = tmp_path / "scan.it2s"
+    write_scan(scan, path)
+    blob = bytearray(path.read_bytes())
+    blob[offset:offset + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def test_read_scan_rejects_infinite_position(tmp_path):
+    path = _patched_scan(tmp_path, 20, np.inf)  # x of the first point
+    with pytest.raises(FormatError, match="finite"):
+        read_scan(path)
+
+
+def test_read_scan_rejects_nan_feature(tmp_path):
+    path = _patched_scan(tmp_path, 20 + 400 * 12, np.nan)  # first point's first feature
+    with pytest.raises(FormatError, match="finite"):
+        read_scan(path)
+
+
 # ---------------------------------------------------------------------------
 # splits
 # ---------------------------------------------------------------------------

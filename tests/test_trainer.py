@@ -1,10 +1,12 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
 
-from peerseg import (SceneConfig, SensorSpec, TrainConfig, ablate, evaluate,
-                     generate_dataset, predict_point_probs, split_dataset, train)
+from peerseg import (RangeImage, SceneConfig, SensorSpec, TrainConfig, VoxelGrid, ablate,
+                     evaluate, generate_dataset, predict_point_probs, split_dataset, train)
+from peerseg import trainer as trainer_mod
 from peerseg.errors import ConfigError
 from peerseg.trainer import ABLATION_ROWS, METRIC_KEYS
 
@@ -200,6 +202,45 @@ def test_evaluate_protocols_and_fusion():
         evaluate(state, SENSOR, scans, protocol="macro")
     with pytest.raises(ConfigError):
         evaluate(state, SENSOR, [])
+
+
+def test_evaluate_scores_each_scan_before_projecting_the_next(monkeypatch):
+    scans = tiny_dataset(4)
+    state, _, _ = train(small_config(epochs=1), SENSOR, scans[:2], [])
+    # the same report as projecting the whole split before scoring any scan
+    for protocol in ("global", "batchwise"):
+        want = trainer_mod._evaluate_bundles(
+            state, trainer_mod._prepare(scans, SENSOR, with_targets=False),
+            scans[0].num_classes, protocol, include_fused=True)
+        want["protocol"] = protocol
+        got = evaluate(state, SENSOR, scans, protocol=protocol, include_fused=True)
+        assert json.dumps(got) == json.dumps(want)
+    events = []
+    project, score = trainer_mod.project_to_range, trainer_mod._bundle_point_probs
+    monkeypatch.setattr(trainer_mod, "project_to_range",
+                        lambda *a: events.append("project") or project(*a))
+    monkeypatch.setattr(trainer_mod, "_bundle_point_probs",
+                        lambda *a: events.append("score") or score(*a))
+    evaluate(state, SENSOR, scans)
+    assert events == ["project", "score"] * len(scans)
+
+
+def test_training_and_eval_never_build_dense_grids(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a dense grid was built on the training or eval path")
+
+    for cls, names in ((RangeImage, ("grid", "valid", "point_index")),
+                       (VoxelGrid, ("grid", "occupied"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse))
+    scans = tiny_dataset(6)
+    lab, unlab = split_dataset(scans, 0.34)
+    cfg = small_config(epochs=2, warmup_epochs=0, use_cross_supervision=True,
+                       use_contrastive=True, use_augmentation=True)
+    state, bank, metrics = train(cfg, SENSOR, lab, unlab, eval_scans=scans[:2])
+    assert len(metrics) == 2 and bank.initialized.any()
+    assert metrics[-1]["loss_range_pseudo"] > 0 and metrics[-1]["loss_contrastive"] > 0
+    evaluate(state, SENSOR, scans[:2], include_fused=True)
 
 
 def test_predict_point_probs_are_distributions():
