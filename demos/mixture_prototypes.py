@@ -25,7 +25,7 @@ sets = {}
 for y, mus in centers.items():
     z = np.concatenate([mu + 0.6 * rng.normal(size=(120, dim)) for mu in mus])
     conf = rng.uniform(0.5, 1.0, len(z))     # low-confidence rows count less
-    sets[y] = ClassSamples(z=z, conf=conf, view=np.zeros(len(z), dtype=np.int8))
+    sets[y] = ClassSamples(z=z, conf=conf)
 
 # ---- EM: the weighted likelihood climbs, the islands get found ------------
 

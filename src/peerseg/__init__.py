@@ -12,9 +12,7 @@ from .errors import ConfigError, FormatError, NumericError
 from .gmm import (GmmBank, collect_embeddings, contrastive_loss, em_update, ema_update,
                   mine_anchors, new_bank, responsibilities, sample_prototypes,
                   weighted_log_likelihood)
-from .losses import (combined_cell_loss, cross_entropy_loss, dual_view_loss,
-                     lovasz_softmax_loss, make_pseudo_labels, scan_set_loss,
-                     set_supervised_loss)
+from .losses import make_pseudo_labels, set_supervised_loss
 from .metrics import ConfusionMatrix, fuse_predictions, miou_batchwise, miou_global
 from .model import (AdamW, ModelState, forward_embed, forward_segment, init_model,
                     load_checkpoint, poly_lr, save_checkpoint, sgd_step)
@@ -31,14 +29,13 @@ __all__ = [
     "AdamW", "CategoricalGrid", "ConfigError", "ConfusionMatrix", "FormatError",
     "GmmBank", "MixPlan", "ModelState", "NumericError", "PointScan", "RangeImage",
     "SceneConfig", "SensorSpec", "TrainConfig", "UNLABELLED", "VoxelGrid", "ablate",
-    "cells_to_points", "collect_embeddings", "combined_cell_loss", "contrastive_loss",
-    "cross_entropy_loss", "cross_transfer", "cutmix_range", "dual_view_loss",
-    "em_update", "ema_update", "evaluate", "forward_embed", "forward_segment",
-    "fuse_predictions", "generate_dataset", "generate_scene", "inclination_bands",
-    "init_model", "lasermix_voxel", "load_checkpoint", "lovasz_softmax_loss",
+    "cells_to_points", "collect_embeddings", "contrastive_loss", "cross_transfer",
+    "cutmix_range", "em_update", "ema_update", "evaluate", "forward_embed",
+    "forward_segment", "fuse_predictions", "generate_dataset", "generate_scene",
+    "inclination_bands", "init_model", "lasermix_voxel", "load_checkpoint",
     "make_mix_plan", "make_pseudo_labels", "mine_anchors", "miou_batchwise",
     "miou_global", "new_bank", "point_labels_to_grid", "poly_lr",
     "predict_point_probs", "project_to_range", "project_to_voxel", "read_scan",
-    "responsibilities", "sample_prototypes", "save_checkpoint", "scan_set_loss",
+    "responsibilities", "sample_prototypes", "save_checkpoint",
     "set_supervised_loss", "sgd_step", "split_dataset", "train", "write_scan",
 ]

@@ -23,11 +23,12 @@ import numpy as np
 from . import trainer as trainer_mod
 from .errors import ConfigError, FormatError, NumericError
 from .model import load_checkpoint, save_checkpoint
-from .scans import (UNLABELLED, PointScan, SceneConfig, SensorSpec, generate_dataset,
-                    read_scan, split_dataset, write_scan)
+from .scans import (UNLABELLED, PointScan, SceneConfig, SensorSpec, atomic_open,
+                    generate_dataset, read_scan, split_dataset, write_scan)
 from .trainer import TrainConfig
 
 MANIFEST_NAME = "manifest.json"
+SPLITS = ("labelled", "unlabelled", "eval")
 
 
 @dataclasses.dataclass
@@ -145,8 +146,15 @@ def write_manifest(out_dir: Path, sensor: SensorSpec, num_classes: int,
         "eval": list(eval_files),
     }
     path = out_dir / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return path
+
+
+def _is_bare_name(name) -> bool:
+    """A file name with no directory part, so it stays inside the corpus."""
+    return (isinstance(name, str) and name not in ("", ".", "..") and "\0" not in name
+            and Path(name).name == name)
 
 
 def read_manifest(data_dir) -> dict:
@@ -157,17 +165,42 @@ def read_manifest(data_dir) -> dict:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
-    for key in ("format", "num_classes", "sensor", "labelled", "unlabelled", "eval"):
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path} must hold a JSON object")
+    for key in ("format", "num_classes", "sensor") + SPLITS:
         if key not in manifest:
             raise FormatError(f"{path} is missing the {key!r} entry")
     if manifest["format"] != "IT2S":
         raise FormatError(f"{path}: unknown corpus format {manifest['format']!r}")
+    for split in SPLITS:
+        if not isinstance(manifest[split], list):
+            raise FormatError(f"{path}: {split!r} must be a list of file names")
+        bad = [name for name in manifest[split] if not _is_bare_name(name)]
+        if bad:
+            raise FormatError(f"{path}: {split!r} lists {bad[0]!r}, not a bare file name")
     manifest["sensor"] = _sensor_from_json(manifest["sensor"])
     return manifest
 
 
-def _load_split(data_dir, manifest: dict, split: str) -> list[PointScan]:
-    return [read_scan(Path(data_dir) / name) for name in manifest[split]]
+def _load_splits(data_dir, manifest: dict, splits, layout=None) -> list[list[PointScan]]:
+    """Each split's scans.  Every scan must hold layout = (classes, feature
+    channels); by default the manifest's class count and the first scan's
+    channels.  A scan of another layout is a data error naming its file."""
+    out = []
+    for split in splits:
+        scans = []
+        for name in manifest[split]:
+            path = Path(data_dir) / name
+            scan = read_scan(path)
+            if layout is None:
+                layout = (manifest["num_classes"], scan.num_features)
+            if (scan.num_classes, scan.num_features) != layout:
+                raise FormatError(
+                    f"{path} holds {scan.num_classes} classes and {scan.num_features} "
+                    f"feature channels, expected {layout[0]} and {layout[1]}")
+            scans.append(scan)
+        out.append(scans)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +210,9 @@ def _load_split(data_dir, manifest: dict, split: str) -> list[PointScan]:
 def _cmd_gen(args) -> int:
     cfgs = load_config(args.config)
     scene, sensor, data = cfgs["scene"], cfgs["sensor"], cfgs["data"]
-    base_seed = args.seed if args.seed is not None else scene.rng_seed
+    if args.seed is not None:
+        scene = dataclasses.replace(scene, rng_seed=args.seed)
+    base_seed = scene.rng_seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -207,17 +242,15 @@ def _cmd_train(args) -> int:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
 
     manifest = read_manifest(args.data)
-    labelled = _load_split(args.data, manifest, "labelled")
-    unlabelled = _load_split(args.data, manifest, "unlabelled")
-    eval_scans = _load_split(args.data, manifest, "eval") or None
+    labelled, unlabelled, eval_scans = _load_splits(args.data, manifest, SPLITS)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     state, bank, metrics = trainer_mod.train(
-        train_cfg, manifest["sensor"], labelled, unlabelled, eval_scans)
+        train_cfg, manifest["sensor"], labelled, unlabelled, eval_scans or None)
 
     metrics_path = out_dir / "metrics.jsonl"
-    with open(metrics_path, "w") as fh:
+    with atomic_open(metrics_path) as fh:
         for record in metrics:
             fh.write(json.dumps(record) + "\n")
     model_path = out_dir / "model.it2m"
@@ -234,7 +267,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     state, _ = load_checkpoint(args.model)
     manifest = read_manifest(args.data)
-    scans = _load_split(args.data, manifest, args.split)
+    [scans] = _load_splits(args.data, manifest, [args.split],
+                           (state.num_classes, state.num_point_features))
     if not scans:
         raise FormatError(f"manifest lists no {args.split!r} scans")
     if all((scan.labels == UNLABELLED).all() for scan in scans):
@@ -260,11 +294,11 @@ def _cmd_ablate(args) -> int:
         seeds = (args.seed, args.seed + 1, args.seed + 2)
     else:
         seeds = (0, 1, 2)
+    for seed in seeds:      # a bad seed stops the run before any training
+        dataclasses.replace(train_cfg, seed=seed)
 
     manifest = read_manifest(args.data)
-    labelled = _load_split(args.data, manifest, "labelled")
-    unlabelled = _load_split(args.data, manifest, "unlabelled")
-    eval_scans = _load_split(args.data, manifest, "eval")
+    labelled, unlabelled, eval_scans = _load_splits(args.data, manifest, SPLITS)
     if not eval_scans:
         raise FormatError("ablation needs eval scans in the manifest")
 
@@ -273,7 +307,7 @@ def _cmd_ablate(args) -> int:
     out_path = Path(args.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="") as fh:
+    with atomic_open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["config", "seed", "view", "miou"])
         writer.writeheader()
         writer.writerows(records)
@@ -315,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a checkpoint on labelled scans")
     ev.add_argument("--model", required=True, help="checkpoint file")
     ev.add_argument("--data", required=True, help="corpus directory with manifest.json")
-    ev.add_argument("--split", default="eval", choices=["labelled", "unlabelled", "eval"])
+    ev.add_argument("--split", default="eval", choices=SPLITS)
     ev.add_argument("--protocol", default="global", choices=["global", "batchwise"])
     ev.add_argument("--fused", action="store_true", help="also score the fused prediction")
     ev.set_defaults(func=_cmd_eval)

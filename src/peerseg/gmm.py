@@ -24,17 +24,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import FormatError, NumericError
 
-VIEW_RANGE = 0
-VIEW_VOXEL = 1
-
-
 @dataclass
 class ClassSamples:
-    """Embeddings pooled for one class: rows of z, confidence, source view."""
+    """Embeddings pooled for one class: rows of z and their confidences."""
 
     z: np.ndarray      # (n, Z) f64
     conf: np.ndarray   # (n,) f64 in (0, 1]
-    view: np.ndarray   # (n,) int8, VIEW_RANGE / VIEW_VOXEL
 
     @property
     def count(self) -> int:
@@ -316,10 +311,6 @@ def collect_embeddings(range_z, range_labels, range_conf,
     labels = np.concatenate([np.asarray(range_labels), np.asarray(voxel_labels)])
     conf = np.concatenate([np.asarray(range_conf, dtype=np.float64),
                            np.asarray(voxel_conf, dtype=np.float64)])
-    view = np.concatenate([
-        np.full(len(range_labels), VIEW_RANGE, dtype=np.int8),
-        np.full(len(voxel_labels), VIEW_VOXEL, dtype=np.int8),
-    ])
     out = {}
     for y in range(num_classes):
         idx = np.nonzero(labels == y)[0]
@@ -327,7 +318,7 @@ def collect_embeddings(range_z, range_labels, range_conf,
             continue
         if idx.size > cap_per_class:
             idx = np.sort(rng.choice(idx, size=cap_per_class, replace=False))
-        out[y] = ClassSamples(z=z[idx], conf=conf[idx], view=view[idx])
+        out[y] = ClassSamples(z=z[idx], conf=conf[idx])
     return out
 
 

@@ -22,8 +22,6 @@ the errors; on hard 0/1 predictions the value reduces exactly to
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from . import autodiff as ad
@@ -38,24 +36,6 @@ def log_softmax(logits: Tensor) -> Tensor:
     return ad.sub(shift, lse)
 
 
-def softmax_probs(logits: Tensor) -> Tensor:
-    return ad.exp(log_softmax(logits))
-
-
-def cross_entropy_loss(logits: Tensor, targets) -> Tensor:
-    """Mean negative log likelihood of integer targets over cells (rows)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.data.shape[0] != targets.shape[0]:
-        raise ValueError("logits and targets disagree on cell count")
-    if targets.shape[0] == 0:
-        warnings.warn("cross_entropy_loss over an empty cell set", RuntimeWarning)
-        return Tensor(0.0)
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.data.shape[1]):
-        raise ValueError("target id outside the class range")
-    picked = ad.take_per_row(log_softmax(logits), targets)
-    return ad.mul(ad.mean(picked), -1.0)
-
-
 def _lovasz_weights(fg_sorted: np.ndarray) -> np.ndarray:
     """Discrete gradient of the Jaccard loss along the sorted error prefix."""
     gts = fg_sorted.sum()
@@ -64,36 +44,6 @@ def _lovasz_weights(fg_sorted: np.ndarray) -> np.ndarray:
     jaccard = 1.0 - intersection / union
     jaccard[1:] = jaccard[1:] - jaccard[:-1]
     return jaccard
-
-
-def lovasz_softmax_loss(probs: Tensor, targets) -> Tensor:
-    """Lovasz extension of the Jaccard loss, averaged over present classes."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if probs.data.shape[0] != targets.shape[0]:
-        raise ValueError("probs and targets disagree on cell count")
-    if targets.shape[0] == 0:
-        warnings.warn("lovasz_softmax_loss over an empty cell set", RuntimeWarning)
-        return Tensor(0.0)
-    present = np.unique(targets)
-    terms = []
-    for c in present:
-        fg = (targets == c).astype(np.float64)
-        p_c = ad.take_per_row(probs, np.full(targets.shape[0], c, dtype=np.int64))
-        errors = ad.detached_sign_abs(ad.sub(fg, p_c))
-        order = np.argsort(-errors.data, kind="stable")
-        weights = _lovasz_weights(fg[order])
-        terms.append(ad.tsum(ad.mul(ad.take_rows(errors, order), weights)))
-    total = terms[0]
-    for t in terms[1:]:
-        total = ad.add(total, t)
-    return ad.mul(total, 1.0 / len(present))
-
-
-def combined_cell_loss(logits: Tensor, targets, ce_weight=1.0, lovasz_weight=1.0) -> Tensor:
-    """The per-scan supervised objective: weighted CE + Lovasz softmax."""
-    ce = cross_entropy_loss(logits, targets)
-    lov = lovasz_softmax_loss(softmax_probs(logits), targets)
-    return ad.add(ad.mul(ce, ce_weight), ad.mul(lov, lovasz_weight))
 
 
 def make_pseudo_labels(range_probs: CategoricalGrid, voxel_probs: CategoricalGrid,
@@ -110,41 +60,15 @@ def make_pseudo_labels(range_probs: CategoricalGrid, voxel_probs: CategoricalGri
     return pseudo_for_range, pseudo_for_voxel
 
 
-def scan_set_loss(pairs, ce_weight=1.0, lovasz_weight=1.0) -> Tensor:
-    """Mean of combined_cell_loss over (logits, targets) pairs, one per scan."""
-    if not pairs:
-        return Tensor(0.0)
-    total = None
-    for logits, targets in pairs:
-        term = combined_cell_loss(logits, targets, ce_weight, lovasz_weight)
-        total = term if total is None else ad.add(total, term)
-    return ad.mul(total, 1.0 / len(pairs))
+def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
+    """Lovasz softmax per scan, averaged over its present classes, then over scans.
 
-
-def set_supervised_loss(logits: Tensor, targets, slices,
-                        ce_weight=1.0, lovasz_weight=1.0) -> Tensor:
-    """Batched equivalent of scan_set_loss on concatenated cells.
-
-    ``logits`` stacks every scan's covered cells; ``slices`` lists each
+    ``probs`` stacks every scan's covered cells; ``slices`` lists each
     scan's (start, stop) row range and ``targets`` aligns with the rows.
-    Equal (up to float association) to averaging combined_cell_loss over
-    the scans, but built from a handful of fused graph ops.
+    Built as one flat gather over every (scan, present class) segment.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    if not slices:
-        return Tensor(0.0)
     num_scans = len(slices)
-    logp = log_softmax(logits)
-
-    # cross entropy: one weighted gather, weight 1/(num_scans * cells_in_scan)
-    ce_w = np.empty(targets.shape[0])
-    for start, stop in slices:
-        ce_w[start:stop] = 1.0 / (num_scans * max(stop - start, 1))
-    picked = ad.take_per_row(logp, targets)
-    ce = ad.mul(ad.tsum(ad.mul(picked, ce_w)), -1.0)
-
-    # lovasz: one flat gather over every (scan, present class) segment
-    probs = ad.exp(logp)
     rows_parts, cols_parts, fg_parts, segments = [], [], [], []
     for start, stop in slices:
         seg_targets = targets[start:stop]
@@ -154,7 +78,7 @@ def set_supervised_loss(logits: Tensor, targets, slices,
             fg_parts.append((seg_targets == c).astype(np.float64))
             segments.append((start, stop, int(c)))
     if not segments:
-        return ad.mul(ce, ce_weight)
+        return Tensor(0.0)
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
     errors = ad.detached_sign_abs(ad.sub(np.concatenate(fg_parts), ad.take_at(probs, rows, cols)))
@@ -173,30 +97,27 @@ def set_supervised_loss(logits: Tensor, targets, slices,
         scale = 1.0 / (num_scans * present_per_scan[start])
         weights[off:off + n] = _lovasz_weights(fg_seg[local]) * scale
         off += n
-    lov = ad.tsum(ad.mul(ad.take_rows(errors, perm), weights))
-
-    return ad.add(ad.mul(ce, ce_weight), ad.mul(lov, lovasz_weight))
+    return ad.tsum(ad.mul(ad.take_rows(errors, perm), weights))
 
 
-def dual_view_loss(range_labelled, range_pseudo, voxel_labelled, voxel_pseudo,
-                   ce_weight=1.0, lovasz_weight=1.0, pseudo_weight=1.0):
-    """The two-view objective: per view, labelled term + pseudo-label term.
+def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
+    """The supervised objective of one view on a set of scans.
 
-    Each argument is a list of (logits Tensor, integer targets) pairs, one
-    entry per scan over that scan's covered cells.  Returns
-    (total Tensor, components dict of detached floats); the total always
-    equals the sum of the four reported components (pseudo terms scaled by
-    pseudo_weight).
+    ``logits`` stacks every scan's covered cells; ``slices`` lists each
+    scan's (start, stop) row range and ``targets`` aligns with the rows.
+    Per scan, cross entropy averaged over its cells plus the Lovasz softmax
+    loss; the scan losses are averaged over the set.
     """
-    parts = {
-        "range_labelled": scan_set_loss(range_labelled, ce_weight, lovasz_weight),
-        "range_pseudo": ad.mul(scan_set_loss(range_pseudo, ce_weight, lovasz_weight),
-                               pseudo_weight),
-        "voxel_labelled": scan_set_loss(voxel_labelled, ce_weight, lovasz_weight),
-        "voxel_pseudo": ad.mul(scan_set_loss(voxel_pseudo, ce_weight, lovasz_weight),
-                               pseudo_weight),
-    }
-    total = None
-    for term in parts.values():
-        total = term if total is None else ad.add(total, term)
-    return total, {k: float(v.data) for k, v in parts.items()}
+    targets = np.asarray(targets, dtype=np.int64)
+    if not slices:
+        return Tensor(0.0)
+    num_scans = len(slices)
+    logp = log_softmax(logits)
+
+    # cross entropy: one weighted gather, weight 1/(num_scans * cells_in_scan)
+    ce_w = np.empty(targets.shape[0])
+    for start, stop in slices:
+        ce_w[start:stop] = 1.0 / (num_scans * max(stop - start, 1))
+    picked = ad.take_per_row(logp, targets)
+    ce = ad.mul(ad.tsum(ad.mul(picked, ce_w)), -1.0)
+    return ad.add(ce, lovasz_set_loss(ad.exp(logp), targets, slices))

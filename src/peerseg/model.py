@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import FormatError, NumericError
 from .projection import CategoricalGrid, RangeImage, VoxelGrid
+from .scans import atomic_open
 
 LEAKY_SLOPE = 0.01
 
@@ -281,7 +282,7 @@ def save_checkpoint(path, state: ModelState, bank=None) -> None:
     tensors.extend((name, t.data) for name, t in state.named_parameters())
     if bank is not None:
         tensors.extend(gmm.bank_tensors(bank))
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", MODEL_VERSION))
         fh.write(struct.pack("<I", len(tensors)))

@@ -1,4 +1,5 @@
-"""Point scans: data model, binary scan format, synthetic scenes, splits.
+"""Point scans: data model, binary scan format, synthetic scenes, splits,
+and the atomic writer of the program's other output files.
 
 A scan is a set of N points with float32 positions (x, y, z), float32
 per-point feature channels (intensity-like), and uint16 class labels where
@@ -14,8 +15,11 @@ scan byte for byte.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -105,6 +109,8 @@ class SceneConfig:
         for lo, hi in (self.ground_rho, self.pole_rho, self.wall_distance, self.cluster_rho):
             if not 0 < lo <= hi:
                 raise ConfigError("radial ranges must be positive and ordered")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass
@@ -317,6 +323,23 @@ def generate_dataset(cfg: SceneConfig, num_scans: int, base_seed: int) -> list[P
 #   .   N   u16  labels (0xFFFF = unlabelled)
 
 _HEADER = struct.Struct("<4sIIII")
+
+
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Open a temporary file beside ``path`` that replaces it on a clean exit.
+
+    A write that fails midway leaves the old file, if any, as it was, and no
+    temporary file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_scan(scan: PointScan, path) -> None:

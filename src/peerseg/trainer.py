@@ -42,6 +42,7 @@ METRIC_KEYS = ("epoch", "lr", "loss_total", "loss_range_labelled", "loss_range_p
                "miou_range", "miou_voxel")
 LOSS_KEYS = METRIC_KEYS[2:8]
 VIEWS = ("range", "voxel")
+TEMPERATURE = 0.1                       # softmax temperature of the prototype contrast
 
 
 @dataclass
@@ -54,9 +55,6 @@ class TrainConfig:
     hidden_voxel: int = 32
     embed_dim: int = 8
     gmm_components: int = 5
-    temperature: float = 0.1
-    ema_alpha: float = 0.996
-    em_iters: int = 1
     anchor_cap: int = 200
     prototypes_per_class: int = 8
     embed_subsample_cap: int = 256
@@ -64,30 +62,22 @@ class TrainConfig:
     use_cross_supervision: bool = True
     use_contrastive: bool = True
     use_augmentation: bool = True
-    ce_weight: float = 1.0
-    lovasz_weight: float = 1.0
-    contrastive_weight: float = 1.0
-    pseudo_weight: float = 1.0
-    pseudo_ramp_epochs: int = 0         # 0 = full pseudo_weight from the first iteration
+    pseudo_ramp_epochs: int = 0         # 0 = full pseudo terms from the first iteration
     seed: int = 0
-    num_bands: int = 0                  # 0 = num_beams // 2
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.optimizer not in ("sgd", "adamw"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.base_lr <= 0 or self.temperature <= 0:
-            raise ConfigError("base_lr and temperature must be positive")
-        if not 0 <= self.ema_alpha <= 1:
-            raise ConfigError("ema_alpha must be in [0, 1]")
+        if self.base_lr <= 0:
+            raise ConfigError("base_lr must be positive")
         if min(self.anchor_cap, self.prototypes_per_class, self.embed_subsample_cap,
-               self.gmm_components, self.embed_dim, self.hidden_range, self.hidden_voxel,
-               self.em_iters) < 1:
+               self.gmm_components, self.embed_dim, self.hidden_range,
+               self.hidden_voxel) < 1:
             raise ConfigError("capacity parameters must be >= 1")
-        if min(self.ce_weight, self.lovasz_weight, self.contrastive_weight,
-               self.pseudo_weight) < 0:
-            raise ConfigError("loss weights must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -167,7 +157,6 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     use_unlab = bool(unlab) and config.use_cross_supervision
     iters_per_epoch = max(1, math.ceil(max(len(lab), len(unlab)) / config.batch_size))
     total_iters = max(1, config.epochs * iters_per_epoch)
-    num_bands = config.num_bands or max(2, sensor.num_beams // 2)
 
     metrics = []
     global_iter = 0
@@ -184,7 +173,7 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
                            order_unlab[it * config.batch_size:(it + 1) * config.batch_size]] \
                 if use_unlab else []
             parts = _iteration(config, sensor, state, bank, batch_lab, batch_unlab,
-                               y_count, num_bands, epoch, global_iter, lr, optimizer,
+                               y_count, epoch, global_iter, lr, optimizer,
                                rng_anchor, rng_proto, rng_em)
             for k, v in parts.items():
                 sums[k] += v
@@ -198,8 +187,8 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     return state, bank, metrics
 
 
-def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num_bands,
-               epoch, global_iter, lr, optimizer, rng_anchor, rng_proto, rng_em):
+def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epoch,
+               global_iter, lr, optimizer, rng_anchor, rng_proto, rng_em):
     """One joint step; lists indexed by view k follow the VIEWS order."""
     params = (state.range_view, state.voxel_view)
 
@@ -212,10 +201,6 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
     def forward_batch(k, batch):
         return forward(k, [b.grids[k].cells for b in batch])
 
-    def supervised(logits, targets, slices):
-        return losses_mod.set_supervised_loss(logits, targets, slices,
-                                              config.ce_weight, config.lovasz_weight)
-
     def covered(fields, batch, k, attr):
         """Per scan, the dense fields' attr read at view k's covered cells."""
         return [b.grids[k].at_cells(getattr(f, attr)) for f, b in zip(fields, batch)]
@@ -223,7 +208,8 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
     # labelled forward, per view: (hidden, logits, slices)
     lab = [forward_batch(k, batch_lab) for k in range(2)]
     lab_targets = [np.concatenate([b.targets[k] for b in batch_lab]) for k in range(2)]
-    loss_lab = [supervised(lab[k][1], lab_targets[k], lab[k][2]) for k in range(2)]
+    loss_lab = [losses_mod.set_supervised_loss(lab[k][1], lab_targets[k], lab[k][2])
+                for k in range(2)]
     loss_pse = [Tensor(0.0), Tensor(0.0)]
     loss_ctr = Tensor(0.0)
 
@@ -240,19 +226,20 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
         pseudo_t = [np.concatenate(c) for c in pseudo_cells]
         pseudo_c = [np.concatenate(covered(pseudo[k], batch_unlab, k, "confidence"))
                     for k in range(2)]
-        ramp = config.pseudo_weight
+        ramp = 1.0
         if config.pseudo_ramp_epochs > 0:
-            ramp *= min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
+            ramp = min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
         if config.use_augmentation:
-            plan = make_mix_plan(len(batch_unlab), sensor.image_width, num_bands)
+            plan = make_mix_plan(len(batch_unlab), sensor.image_width,
+                                 max(2, sensor.num_beams // 2))
         for k in range(2):
             if config.use_augmentation:
                 # pseudo terms on mixed inputs with mixed targets
                 cells, targets = MIXERS[k](batch_unlab, pseudo_cells[k], plan, sensor, y_count)
                 _, logits, slices = forward(k, cells)
-                loss = supervised(logits, np.concatenate(targets), slices)
+                loss = losses_mod.set_supervised_loss(logits, np.concatenate(targets), slices)
             else:
-                loss = supervised(unlab[k][1], pseudo_t[k], unlab[k][2])
+                loss = losses_mod.set_supervised_loss(unlab[k][1], pseudo_t[k], unlab[k][2])
             loss_pse[k] = loss if ramp == 1.0 else ad.mul(loss, ramp)
 
     class_sets = None
@@ -271,10 +258,8 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
                                                     rng_anchor))
             pool.append((emb.data, targets, np.concatenate([c for _, _, c in sets])))
         anchors = gmm_mod.merge_anchor_sets(*anchor_sets)
-        loss_ctr = ad.mul(
-            gmm_mod.contrastive_loss(anchors, bank, config.prototypes_per_class,
-                                     config.temperature, rng_proto),
-            config.contrastive_weight)
+        loss_ctr = gmm_mod.contrastive_loss(anchors, bank, config.prototypes_per_class,
+                                            TEMPERATURE, rng_proto)
         # detached embedding pool for the mixture updates (after the loss,
         # so this iteration's contrastive term reads the previous shadow)
         class_sets = gmm_mod.collect_embeddings(*pool[0], *pool[1],
@@ -285,8 +270,8 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, num
         raise NumericError(f"non-finite loss at iteration {global_iter}")
 
     if class_sets:
-        gmm_mod.em_update(bank, class_sets, config.em_iters, rng_em)
-        gmm_mod.ema_update(bank, config.ema_alpha)
+        gmm_mod.em_update(bank, class_sets, rng=rng_em)
+        gmm_mod.ema_update(bank)
 
     state.zero_grad()
     total.backward()

@@ -6,6 +6,7 @@ test fails).  The semi-supervised training matrix behind the later checks
 is expensive, so it runs once per session and is shared by its consumers.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -25,13 +26,12 @@ from peerseg.augment import (cutmix_range, inclination_bands, lasermix_voxel,
 from peerseg.gmm import (AnchorSet, ClassSamples, contrastive_loss, em_update,
                          mine_anchors, new_bank, sample_prototypes,
                          weighted_log_likelihood)
-from peerseg.losses import (cross_entropy_loss, dual_view_loss,
-                            lovasz_softmax_loss, make_pseudo_labels,
-                            softmax_probs)
+from peerseg.losses import (log_softmax, lovasz_set_loss, make_pseudo_labels,
+                            set_supervised_loss)
 from peerseg.projection import (RangeImage, cells_to_points, point_labels_to_grid,
                                 project_to_range, project_to_voxel)
 from peerseg.scans import PointScan
-from peerseg.trainer import ABLATION_ROWS
+from peerseg.trainer import ABLATION_ROWS, TEMPERATURE
 
 
 def report(num, name, ok, detail):
@@ -121,18 +121,26 @@ def _tiny_setup(rng, num_classes=3):
 
 
 # A 1e-5 central-difference step is only a trustworthy slope oracle where the
-# loss is smooth at that scale.  Two draws break that: near-tied sort margins
-# (the set-loss permutation flips inside the step) and near-zero rows entering
-# the embedding normalization (its curvature blows up).  Such draws are
-# re-rolled; the gradients themselves are checked on what survives.
+# loss is smooth at that scale.  Three draws break that: near-tied sort margins
+# (the set-loss permutation flips inside the step), trunk pre-activations
+# within a step of the leaky-ReLU kink (likely once a set stacks several
+# scans' cells), and near-zero rows entering the embedding normalization (its
+# curvature blows up).  Such draws are re-rolled; the gradients themselves are
+# checked on what survives.
 
-def _sort_gaps_ok(logits_data, targets, floor=2e-4):
+def _sort_gaps_ok(logits_data, targets, slices, floor=2e-4):
     p = model_mod.softmax(logits_data)
-    for c in np.unique(targets):
-        err = np.sort(np.abs((targets == c).astype(float) - p[:, c]))
-        if err.size >= 2 and np.min(np.diff(err)) < floor:
-            return False
+    for start, stop in slices:
+        for c in np.unique(targets[start:stop]):
+            err = np.sort(np.abs((targets[start:stop] == c).astype(float) - p[start:stop, c]))
+            if err.size >= 2 and np.min(np.diff(err)) < floor:
+                return False
     return True
+
+
+def _trunk_margin(view, grids):
+    x = np.concatenate([model_mod.valid_cells(g) for g in grids]) / view.input_scale
+    return float(np.abs(x @ view.w1.data + view.b1.data).min())
 
 
 def _embed_prenorm_min(view, grid):
@@ -143,28 +151,34 @@ def _embed_prenorm_min(view, grid):
     return float(np.linalg.norm(h.data, axis=1).min())
 
 
-def _build_ce(seed):
-    rng = np.random.default_rng(seed)
-    sensor, scan, state = _tiny_setup(rng)
-    rimg = project_to_range(scan, sensor)
-    t = rng.integers(0, 3, model_mod.valid_cells(rimg).shape[0])
-    view = state.range_view
-    return (lambda: cross_entropy_loss(model_mod.forward_segment(state, rimg), t),
-            [p for _, p in view.named_parameters()])
+def _set_forward(view, grids):
+    """Several scans' covered cells stacked through one view, as the trainer
+    runs a scan set: (logits, per-scan row slices)."""
+    cells = [model_mod.valid_cells(g) for g in grids]
+    stops = np.cumsum([c.shape[0] for c in cells]).tolist()
+    hidden = model_mod.trunk_hidden(view, np.concatenate(cells))
+    return model_mod.segment_logits(view, hidden), list(zip([0] + stops[:-1], stops))
 
 
-def _build_lovasz(seed):
+def _lovasz_half(logits, targets, slices):
+    return lovasz_set_loss(ad.exp(log_softmax(logits)), targets, slices)
+
+
+def _build_set_loss(seed, loss):
+    """loss(logits, targets, slices) over a set of three range images."""
     for salt in itertools.count():
         rng = np.random.default_rng([seed, salt])
         sensor, scan, state = _tiny_setup(rng)
-        rimg = project_to_range(scan, sensor)
-        t = rng.integers(0, 3, model_mod.valid_cells(rimg).shape[0])
-        if _sort_gaps_ok(model_mod.forward_segment(state, rimg).data, t):
+        grids = [project_to_range(s, sensor)
+                 for s in (scan, random_scan(rng, 24, 3), random_scan(rng, 18, 3))]
+        logits, slices = _set_forward(state.range_view, grids)
+        t = rng.integers(0, 3, logits.data.shape[0])
+        if _sort_gaps_ok(logits.data, t, slices) and \
+                _trunk_margin(state.range_view, grids) >= 2e-4:
             break
 
     def f():
-        probs = softmax_probs(model_mod.forward_segment(state, rimg))
-        return lovasz_softmax_loss(probs, t)
+        return loss(_set_forward(state.range_view, grids)[0], t, slices)
 
     return f, [p for _, p in state.range_view.named_parameters()]
 
@@ -190,45 +204,42 @@ def _build_infonce(seed):
     return f, [p for _, p in state.range_view.named_parameters()]
 
 
-def _build_combined(seed):
+def _build_combined(seed, ramp=0.7):
+    """The trainer's objective on one labelled and one unlabelled scan: per
+    view, labelled term + ramp * pseudo-label term, plus the prototype contrast."""
     for salt in itertools.count():
         rng = np.random.default_rng([seed, salt])
         sensor, scan_l, state = _tiny_setup(rng)
         scan_u = random_scan(rng, 26, 3)
-        rimg_l = project_to_range(scan_l, sensor)
-        vox_l = project_to_voxel(scan_l, sensor)
-        rimg_u = project_to_range(scan_u, sensor)
-        vox_u = project_to_voxel(scan_u, sensor)
-        t_rl = point_labels_to_grid(rimg_l, scan_l.labels, 3).labels[rimg_l.valid]
-        t_vl = point_labels_to_grid(vox_l, scan_l.labels, 3).labels[vox_l.occupied]
+        grids_l = (project_to_range(scan_l, sensor), project_to_voxel(scan_l, sensor))
+        grids_u = (project_to_range(scan_u, sensor), project_to_voxel(scan_u, sensor))
+        t_l = [g.at_cells(point_labels_to_grid(g, scan_l.labels, 3).labels) for g in grids_l]
         # peer labels are frozen here: recomputing them under perturbed
         # weights would chase a moving target the real pipeline detaches
-        rp = model_mod.probs_grid(rimg_u, model_mod.forward_segment(state, rimg_u).data, 3)
-        vp = model_mod.probs_grid(vox_u, model_mod.forward_segment(state, vox_u).data, 3)
-        pr, pv = make_pseudo_labels(rp, vp, rimg_u, vox_u)
-        t_ru = pr.labels[rimg_u.valid]
-        t_vu = pv.labels[vox_u.occupied]
+        probs = [model_mod.probs_grid(g, model_mod.forward_segment(state, g).data, 3)
+                 for g in grids_u]
+        t_u = [g.at_cells(p.labels)
+               for g, p in zip(grids_u, make_pseudo_labels(*probs, *grids_u))]
         smooth = all(
-            _sort_gaps_ok(model_mod.forward_segment(state, grid).data, t)
-            for grid, t in ((rimg_l, t_rl), (vox_l, t_vl),
-                            (rimg_u, t_ru), (vox_u, t_vu)))
-        if smooth and _embed_prenorm_min(state.range_view, rimg_u) >= 0.03:
+            _sort_gaps_ok(model_mod.forward_segment(state, g).data, t, [(0, len(t))])
+            for g, t in zip(grids_l + grids_u, t_l + t_u))
+        if smooth and _embed_prenorm_min(state.range_view, grids_u[0]) >= 0.03:
             break
     bank = known_bank(rng, 3, 2, 4)
-    preds = rng.integers(0, 3, t_ru.shape[0])
+    preds = rng.integers(0, 3, t_u[0].shape[0])
     s1, s2 = (int(x) for x in rng.integers(1 << 31, size=2))
 
+    def supervised(grid, targets):
+        return set_supervised_loss(model_mod.forward_segment(state, grid), targets,
+                                   [(0, len(targets))])
+
     def f():
-        total, _ = dual_view_loss(
-            [(model_mod.forward_segment(state, rimg_l), t_rl)],
-            [(model_mod.forward_segment(state, rimg_u), t_ru)],
-            [(model_mod.forward_segment(state, vox_l), t_vl)],
-            [(model_mod.forward_segment(state, vox_u), t_vu)],
-            pseudo_weight=0.7)
-        z = model_mod.forward_embed(state, rimg_u)
-        anchors = mine_anchors(z, preds, t_ru, 8, np.random.default_rng(s1))
-        ctr = contrastive_loss(anchors, bank, 2, 0.2, np.random.default_rng(s2))
-        return ad.add(total, ad.mul(ctr, 0.5))
+        loss_lab = [supervised(g, t) for g, t in zip(grids_l, t_l)]
+        loss_pse = [ad.mul(supervised(g, t), ramp) for g, t in zip(grids_u, t_u)]
+        z = model_mod.forward_embed(state, grids_u[0])
+        anchors = mine_anchors(z, preds, t_u[0], 8, np.random.default_rng(s1))
+        ctr = contrastive_loss(anchors, bank, 2, TEMPERATURE, np.random.default_rng(s2))
+        return ad.add(ad.add(ad.add(*loss_lab), ad.add(*loss_pse)), ctr)
 
     return f, state.parameters()
 
@@ -260,7 +271,8 @@ def _probe_gradients(build, seed, probes=4, step=1e-5):
 
 def test_gradients_match_finite_differences():
     start = time.perf_counter()
-    builders = (("ce", _build_ce, 10_000), ("lovasz", _build_lovasz, 20_000),
+    builders = (("set", functools.partial(_build_set_loss, loss=set_supervised_loss), 10_000),
+                ("lovasz", functools.partial(_build_set_loss, loss=_lovasz_half), 20_000),
                 ("infonce", _build_infonce, 30_000),
                 ("combined", _build_combined, 40_000))
     worst = {}
@@ -294,7 +306,7 @@ def test_lovasz_equals_jaccard_on_hard_predictions():
                 probs = np.zeros((n, 2))
                 probs[np.arange(n), prd] = 1.0
                 tgt_a = np.array(tgt)
-                loss = float(lovasz_softmax_loss(Tensor(probs), tgt_a).data)
+                loss = float(lovasz_set_loss(Tensor(probs), tgt_a, [(0, n)]).data)
                 oracle = _jaccard_loss_by_counting(np.array(prd), tgt_a)
                 worst = max(worst, abs(loss - oracle))
                 count += 1
@@ -323,8 +335,7 @@ def test_weighted_em_recovers_two_component_means():
             cs += [conf, conf]
         z = np.concatenate(zs)
         conf = np.concatenate(cs)
-        sets = {0: ClassSamples(z=z, conf=conf,
-                                view=np.zeros(len(z), dtype=np.int8))}
+        sets = {0: ClassSamples(z=z, conf=conf)}
         bank = new_bank(1, num_components=2, dim=2)
         em_update(bank, sets, num_iters=0, rng=rng)
         prev = weighted_log_likelihood(bank, 0, z, conf)

@@ -77,7 +77,10 @@ def test_load_config_rejects_unknown_key(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("key", ["threads", "em_mode", "include_labelled_embeddings"])
+@pytest.mark.parametrize("key", ["threads", "em_mode", "include_labelled_embeddings",
+                                 "ce_weight", "lovasz_weight", "pseudo_weight",
+                                 "contrastive_weight", "temperature", "ema_alpha",
+                                 "em_iters", "num_bands"])
 def test_removed_train_options_exit_1(tmp_path, key, capsys):
     path = tmp_path / "c.ini"
     path.write_text(f"[train]\n{key} = 1\n")
@@ -336,6 +339,69 @@ def test_numeric_blowup_exit_3(tmp_path, capsys):
                      "--config", str(ini)])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "gen --out {tmp}/x --seed -1",
+    "train --data {tmp}/corpus --out {tmp}/run --seed -3",
+    "ablate --data {tmp}/corpus --out {tmp}/rows.csv --seeds 0,-1",
+], ids=["gen", "train", "ablate"])
+def test_negative_seed_exit_1(tmp_path, capsys, argv):
+    assert main(argv.format(tmp=tmp_path).split()) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("names", [[123], None, ["../outside.it2s"], ["<absolute>"]],
+                         ids=["integer", "null", "parent_dir", "absolute"])
+def test_manifest_entries_must_be_bare_names(tmp_path, ini, capsys, names):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    # a readable scan just outside the corpus directory
+    outside = tmp_path / "outside.it2s"
+    outside.write_bytes((corpus / manifest["eval"][0]).read_bytes())
+    manifest["eval"] = [str(outside)] if names == ["<absolute>"] else names
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    save_checkpoint(tmp_path / "model.it2m", init_model(1, 3, 4, 4, 2))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'eval'" in err
+
+
+def test_eval_of_other_class_count_exit_2(tmp_path, capsys):
+    ini = tmp_path / "five.ini"
+    ini.write_text(BASE_INI.replace("num_classes = 3", "num_classes = 5"))
+    corpus = gen_corpus(tmp_path, str(ini))
+    save_checkpoint(tmp_path / "model.it2m", init_model(1, 3, 4, 4, 2))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert "eval_000.it2s holds 5 classes" in err and "expected 3" in err
+
+
+def _add_feature_channel(path):
+    scan = read_scan(path)
+    feats = np.concatenate([scan.features, scan.features], axis=1)
+    write_scan(PointScan(scan.positions, feats, scan.labels, scan.num_classes), path)
+
+
+def test_eval_of_other_feature_count_exit_2(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    _add_feature_channel(corpus / "eval_001.it2s")
+    save_checkpoint(tmp_path / "model.it2m", init_model(1, 3, 4, 4, 2))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus)]) == 2
+    assert "eval_001.it2s holds 3 classes and 2 feature channels" in capsys.readouterr().err
+
+
+def test_train_on_mixed_feature_counts_exit_2(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    _add_feature_channel(corpus / "unlabelled_000.it2s")
+    capsys.readouterr()
+    assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"),
+                 "--config", ini]) == 2
+    assert "unlabelled_000.it2s holds 3 classes and 2 feature channels" in \
+        capsys.readouterr().err
 
 
 # IT2M layout: magic, version, count (12 bytes), then the first record,

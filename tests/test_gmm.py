@@ -6,11 +6,10 @@ import pytest
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
 from peerseg.errors import NumericError
-from peerseg.gmm import (AnchorSet, ClassSamples, VIEW_RANGE, VIEW_VOXEL,
-                         bank_from_tensors, bank_tensors, collect_embeddings,
-                         contrastive_loss, em_update, ema_update, merge_anchor_sets,
-                         mine_anchors, new_bank, responsibilities, sample_prototypes,
-                         weighted_log_likelihood)
+from peerseg.gmm import (AnchorSet, ClassSamples, bank_from_tensors, bank_tensors,
+                         collect_embeddings, contrastive_loss, em_update, ema_update,
+                         merge_anchor_sets, mine_anchors, new_bank, responsibilities,
+                         sample_prototypes, weighted_log_likelihood)
 
 
 def antithetic_two_cluster(rng, dim=2, n_pairs_per=125, sep=3.0):
@@ -28,8 +27,7 @@ def antithetic_two_cluster(rng, dim=2, n_pairs_per=125, sep=3.0):
 
 
 def class_set(z, conf):
-    return ClassSamples(z=z, conf=conf,
-                        view=np.zeros(z.shape[0], dtype=np.int8))
+    return ClassSamples(z=z, conf=conf)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +259,7 @@ def test_merge_anchor_sets_concatenates():
     assert m.labels.tolist() == a.labels.tolist() + b.labels.tolist()
 
 
-def test_collect_embeddings_caps_and_tags_views():
+def test_collect_embeddings_caps_per_class():
     rng = np.random.default_rng(5)
     rz = rng.normal(size=(30, 3))
     vz = rng.normal(size=(20, 3))
@@ -272,8 +270,6 @@ def test_collect_embeddings_caps_and_tags_views():
     assert set(sets) == {0, 1}
     assert sets[0].count == 20
     assert sets[1].count == 15
-    assert (sets[1].view == VIEW_VOXEL).all()
-    assert set(np.unique(sets[0].view)) <= {VIEW_RANGE, VIEW_VOXEL}
     assert sets[1].conf == pytest.approx(np.full(15, 0.8))
 
 

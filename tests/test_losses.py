@@ -3,55 +3,88 @@ import math
 import numpy as np
 import pytest
 
-from peerseg import (CategoricalGrid, PointScan, SensorSpec, combined_cell_loss,
-                     cross_entropy_loss, dual_view_loss, lovasz_softmax_loss,
-                     make_pseudo_labels, project_to_range, project_to_voxel,
-                     scan_set_loss, set_supervised_loss)
+from peerseg import (CategoricalGrid, PointScan, SensorSpec, make_pseudo_labels,
+                     project_to_range, project_to_voxel, set_supervised_loss)
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
-from peerseg.losses import log_softmax, softmax_probs
+from peerseg.losses import log_softmax, lovasz_set_loss
 
 
 def T(x):
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=True)
 
 
+def one_slice(n):
+    return [(0, n)]
+
+
+def reference_set_loss(logits, targets, slices):
+    """Plain-numpy value of the supervised objective, cell by cell.
+
+    Per scan: mean cross entropy plus, for each present class, the Lovasz
+    extension of the Jaccard loss written from its set definition: with the
+    errors sorted in decreasing order, the loss of marking the first j cells
+    wrong is j / |truth of the class, union those j cells|.
+    """
+    total = 0.0
+    for start, stop in slices:
+        z = np.asarray(logits[start:stop], dtype=np.float64)
+        t = np.asarray(targets[start:stop])
+        probs = np.exp(z - z.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        ce = -np.mean([math.log(probs[i, t[i]]) for i in range(len(t))])
+        classes = sorted(set(t.tolist()))
+        lov = 0.0
+        for c in classes:
+            truth = {i for i in range(len(t)) if t[i] == c}
+            errors = [abs((1.0 if i in truth else 0.0) - probs[i, c]) for i in range(len(t))]
+            order = sorted(range(len(t)), key=lambda i: -errors[i])
+            prev = 0.0
+            for j in range(1, len(order) + 1):
+                marked = set(order[:j])
+                loss_j = len(marked) / len(truth | marked)
+                lov += errors[order[j - 1]] * (loss_j - prev)
+                prev = loss_j
+        total += ce + lov / len(classes)
+    return total / len(slices)
+
+
 # ---------------------------------------------------------------------------
-# cross entropy
+# the supervised objective: cross entropy + Lovasz softmax over a scan set
 # ---------------------------------------------------------------------------
 
 def test_cross_entropy_hand_values():
-    # logits (0, ln2) -> probs (1/3, 2/3)
-    logits = T([[0.0, math.log(2.0)]])
-    assert float(cross_entropy_loss(logits, [1]).data) == pytest.approx(
-        -math.log(2.0 / 3.0), abs=1e-12)
-    assert float(cross_entropy_loss(T([[0.0, math.log(2.0)]]), [0]).data) == pytest.approx(
-        -math.log(1.0 / 3.0), abs=1e-12)
+    # logits (0, ln2) -> probs (1/3, 2/3); one cell's Lovasz term is 1 - p_target
+    logits = [[0.0, math.log(2.0)]]
+    assert float(set_supervised_loss(T(logits), [1], one_slice(1)).data) == pytest.approx(
+        -math.log(2.0 / 3.0) + 1.0 / 3.0, abs=1e-12)
+    assert float(set_supervised_loss(T(logits), [0], one_slice(1)).data) == pytest.approx(
+        -math.log(1.0 / 3.0) + 2.0 / 3.0, abs=1e-12)
 
 
 def test_cross_entropy_averages_cells():
+    # cross entropy averages the two cells; Lovasz: class 0 gives 2/3, class 1 gives 1/2
     logits = T([[0.0, math.log(2.0)], [0.0, math.log(2.0)]])
-    want = 0.5 * (-math.log(1 / 3) - math.log(2 / 3))
-    assert float(cross_entropy_loss(logits, [0, 1]).data) == pytest.approx(want, abs=1e-12)
+    want = 0.5 * (-math.log(1 / 3) - math.log(2 / 3)) + 0.5 * (2 / 3 + 1 / 2)
+    assert float(set_supervised_loss(logits, [0, 1], one_slice(2)).data) == pytest.approx(
+        want, abs=1e-12)
 
 
 def test_cross_entropy_uniform_equals_log_classes():
-    logits = T(np.zeros((5, 4)))
-    assert float(cross_entropy_loss(logits, [0, 1, 2, 3, 0]).data) == pytest.approx(
-        math.log(4.0))
+    # cross entropy ln 4; every present class's Lovasz term is 0.75
+    got = float(set_supervised_loss(T(np.zeros((5, 4))), [0, 1, 2, 3, 0], one_slice(5)).data)
+    assert got == pytest.approx(math.log(4.0) + 0.75, abs=1e-12)
 
 
-def test_cross_entropy_empty_warns_and_returns_zero():
-    with pytest.warns(RuntimeWarning):
-        out = cross_entropy_loss(T(np.zeros((0, 3))), np.zeros(0, dtype=np.int64))
-    assert float(out.data) == 0.0
-
-
-def test_cross_entropy_rejects_bad_targets():
-    with pytest.raises(ValueError):
-        cross_entropy_loss(T(np.zeros((2, 3))), [0, 3])
-    with pytest.raises(ValueError):
-        cross_entropy_loss(T(np.zeros((2, 3))), [0])
+def test_set_supervised_loss_averages_scans():
+    rng = np.random.default_rng(6)
+    logits = rng.normal(size=(3, 2))
+    targets = np.array([0, 1, 0])
+    alone = [float(set_supervised_loss(T(logits[a:b]), targets[a:b], one_slice(b - a)).data)
+             for a, b in ((0, 1), (1, 3))]
+    both = float(set_supervised_loss(T(logits), targets, [(0, 1), (1, 3)]).data)
+    assert both == pytest.approx(np.mean(alone), abs=1e-12)
+    assert float(set_supervised_loss(T(logits), targets, []).data) == 0.0
 
 
 def test_log_softmax_stable_at_large_logits():
@@ -62,24 +95,27 @@ def test_log_softmax_stable_at_large_logits():
 
 
 # ---------------------------------------------------------------------------
-# Lovasz softmax
+# the Lovasz half
 # ---------------------------------------------------------------------------
 
 def test_lovasz_single_cell():
     probs = T([[0.6, 0.4]])
-    assert float(lovasz_softmax_loss(probs, [0]).data) == pytest.approx(0.4, abs=1e-12)
+    assert float(lovasz_set_loss(probs, [0], one_slice(1)).data) == pytest.approx(
+        0.4, abs=1e-12)
 
 
 def test_lovasz_two_cell_hand_oracle():
     # class 0: sorted errors (0.3, 0.2), weights (0.5, 0.5) -> 0.25
     # class 1: sorted errors (0.3, 0.2), weights (1.0, 0.0) -> 0.30
     probs = T([[0.8, 0.2], [0.3, 0.7]])
-    assert float(lovasz_softmax_loss(probs, [0, 1]).data) == pytest.approx(0.275, abs=1e-12)
+    assert float(lovasz_set_loss(probs, [0, 1], one_slice(2)).data) == pytest.approx(
+        0.275, abs=1e-12)
 
 
 def test_lovasz_perfect_prediction_is_zero():
     probs = T([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-    assert float(lovasz_softmax_loss(probs, [0, 1, 0]).data) == pytest.approx(0.0, abs=1e-12)
+    assert float(lovasz_set_loss(probs, [0, 1, 0], one_slice(3)).data) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_lovasz_hard_predictions_match_jaccard_counting():
@@ -90,7 +126,7 @@ def test_lovasz_hard_predictions_match_jaccard_counting():
         preds = rng.integers(0, 2, size=n)
         probs = np.zeros((n, 2))
         probs[np.arange(n), preds] = 1.0
-        got = float(lovasz_softmax_loss(Tensor(probs.copy()), targets).data)
+        got = float(lovasz_set_loss(Tensor(probs), targets, one_slice(n)).data)
         want = []
         for c in np.unique(targets):
             inter = int(((preds == c) & (targets == c)).sum())
@@ -106,94 +142,54 @@ def test_lovasz_only_present_classes_count():
     errors_sorted = [0.3, 0.1]  # |1 - p0|
     # gts=2: weights are 1-(2-1)/(2+0)=j1=0.5, then j2=1-(2-2)/(2+0)=1 -> diff 0.5
     want = 0.3 * 0.5 + 0.1 * 0.5
-    assert float(lovasz_softmax_loss(probs, targets).data) == pytest.approx(want, abs=1e-12)
+    assert float(lovasz_set_loss(probs, targets, one_slice(2)).data) == pytest.approx(
+        want, abs=1e-12)
 
 
-def test_lovasz_empty_warns():
-    with pytest.warns(RuntimeWarning):
-        out = lovasz_softmax_loss(T(np.zeros((0, 2))), np.zeros(0, dtype=np.int64))
-    assert float(out.data) == 0.0
+def _fd_gradient_errors(build, x, step=1e-5):
+    """Worst relative gap between the tape gradient of build() wrt x and
+    central differences."""
+    x.grad = None
+    build().backward()
+    grad = x.grad.reshape(-1).copy()
+    flat = x.data.reshape(-1)
+    worst = 0.0
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + step
+        hi = float(build().data)
+        flat[i] = keep - step
+        lo = float(build().data)
+        flat[i] = keep
+        num = (hi - lo) / (2 * step)
+        worst = max(worst, abs(num - grad[i]) / max(abs(num), abs(grad[i]), 1e-4))
+    return worst
 
 
 def test_lovasz_gradient_matches_fd():
     rng = np.random.default_rng(1)
     logits = T(rng.normal(size=(6, 3)))
     targets = rng.integers(0, 3, size=6)
-
-    def build():
-        return lovasz_softmax_loss(softmax_probs(logits), targets)
-
-    loss = build()
-    loss.backward()
-    grad = logits.grad.copy()
-    flat = logits.data.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + 1e-5
-        hi = float(build().data)
-        flat[i] = keep - 1e-5
-        lo = float(build().data)
-        flat[i] = keep
-        num = (hi - lo) / 2e-5
-        denom = max(abs(num), abs(grad.reshape(-1)[i]), 1e-4)
-        assert abs(num - grad.reshape(-1)[i]) / denom < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# combined + batched set losses
-# ---------------------------------------------------------------------------
-
-def test_combined_weights_components():
-    logits = T([[0.3, -0.2], [0.1, 0.4]])
-    targets = [0, 1]
-    ce = float(cross_entropy_loss(T(logits.data.copy()), targets).data)
-    lov = float(lovasz_softmax_loss(softmax_probs(T(logits.data.copy())), targets).data)
-    got = float(combined_cell_loss(logits, targets, ce_weight=2.0, lovasz_weight=0.5).data)
-    assert got == pytest.approx(2.0 * ce + 0.5 * lov, abs=1e-12)
-
-
-def test_scan_set_loss_averages_scans():
-    a = (T([[0.5, -0.5]]), np.array([0]))
-    b = (T([[0.2, 0.9], [1.0, -1.0]]), np.array([1, 0]))
-    sep = 0.5 * (float(combined_cell_loss(T(a[0].data.copy()), a[1]).data)
-                 + float(combined_cell_loss(T(b[0].data.copy()), b[1]).data))
-    assert float(scan_set_loss([a, b]).data) == pytest.approx(sep, abs=1e-12)
-    assert float(scan_set_loss([]).data) == 0.0
+    assert _fd_gradient_errors(
+        lambda: lovasz_set_loss(ad.exp(log_softmax(logits)), targets, one_slice(6)),
+        logits) < 1e-4
 
 
 def test_set_supervised_loss_matches_reference():
     rng = np.random.default_rng(2)
-    sizes = (3, 5, 1, 4)
-    mats, targets, slices, off = [], [], [], 0
-    for n in sizes:
-        mats.append(rng.normal(size=(n, 4)))
-        targets.append(rng.integers(0, 4, size=n))
-        slices.append((off, off + n))
-        off += n
-    stacked = T(np.concatenate(mats))
-    batched = set_supervised_loss(stacked, np.concatenate(targets), slices,
-                                  ce_weight=1.3, lovasz_weight=0.7)
-    pairs = [(T(m), t) for m, t in zip(mats, targets)]
-    reference = scan_set_loss(pairs, ce_weight=1.3, lovasz_weight=0.7)
-    assert float(batched.data) == pytest.approx(float(reference.data), abs=1e-12)
-
-    batched.backward()
-    reference.backward()
-    ref_grad = np.concatenate([p.grad for p, _ in pairs])
-    assert stacked.grad == pytest.approx(ref_grad, abs=1e-10)
-
-
-def test_set_supervised_loss_single_scan_equals_combined():
-    rng = np.random.default_rng(3)
-    logits = rng.normal(size=(7, 3))
-    targets = rng.integers(0, 3, size=7)
-    got = float(set_supervised_loss(T(logits), targets, [(0, 7)]).data)
-    want = float(combined_cell_loss(T(logits), targets).data)
-    assert got == pytest.approx(want, abs=1e-12)
+    for sizes in ((3, 5, 1, 4), (7,)):
+        logits = rng.normal(size=(sum(sizes), 4))
+        targets = rng.integers(0, 4, size=sum(sizes))
+        stops = np.cumsum(sizes).tolist()
+        slices = list(zip([0] + stops[:-1], stops))
+        x = T(logits)
+        got = float(set_supervised_loss(x, targets, slices).data)
+        assert got == pytest.approx(reference_set_loss(logits, targets, slices), abs=1e-12)
+        assert _fd_gradient_errors(lambda: set_supervised_loss(x, targets, slices), x) < 1e-4
 
 
 # ---------------------------------------------------------------------------
-# pseudo labels and the four-term objective
+# pseudo labels
 # ---------------------------------------------------------------------------
 
 def make_views():
@@ -220,34 +216,3 @@ def test_make_pseudo_labels_swaps_directions():
         assert for_range.labels[tuple(pix)] == 1
     assert for_voxel.labels[tuple(vox.voxel_of_point[0])] == 0
     assert for_voxel.confidence[tuple(vox.voxel_of_point[0])] == pytest.approx(0.9)
-
-
-def test_dual_view_loss_accounting():
-    rng = np.random.default_rng(4)
-
-    def pair():
-        n = int(rng.integers(2, 5))
-        return (T(rng.normal(size=(n, 3))), rng.integers(0, 3, size=n))
-
-    total, parts = dual_view_loss(
-        range_labelled=[pair()], range_pseudo=[pair()],
-        voxel_labelled=[pair()], voxel_pseudo=[pair()],
-        pseudo_weight=0.5)
-    assert set(parts) == {"range_labelled", "range_pseudo",
-                          "voxel_labelled", "voxel_pseudo"}
-    assert float(total.data) == pytest.approx(sum(parts.values()), abs=1e-9)
-
-
-def test_dual_view_loss_pseudo_weight_scales():
-    rng = np.random.default_rng(5)
-    logits = rng.normal(size=(3, 3))
-    targets = rng.integers(0, 3, size=3)
-
-    def build(w):
-        return dual_view_loss(
-            range_labelled=[], range_pseudo=[(T(logits.copy()), targets)],
-            voxel_labelled=[], voxel_pseudo=[], pseudo_weight=w)
-
-    _, full = build(1.0)
-    _, half = build(0.5)
-    assert half["range_pseudo"] == pytest.approx(0.5 * full["range_pseudo"], abs=1e-12)

@@ -6,6 +6,7 @@ import pytest
 from peerseg import (FormatError, NumericError, SceneConfig, SensorSpec, generate_scene,
                      init_model, load_checkpoint, new_bank, poly_lr, project_to_range,
                      project_to_voxel, save_checkpoint, sgd_step)
+from peerseg import model as model_mod
 from peerseg.autodiff import Tensor
 from peerseg.gmm import bank_tensors
 from peerseg.model import (AdamW, forward_embed, forward_segment, probs_grid,
@@ -184,6 +185,26 @@ def test_checkpoint_with_bank(tmp_path):
     assert np.array_equal(back.means, bank.means)
     assert back.initialized.tolist() == [False, True, False, False]
     assert back.eps == bank.eps
+
+
+def test_failed_checkpoint_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.it2m"
+    save_checkpoint(path, init_model(2, 3, 4, 4, 2, seed=0))
+    old = path.read_bytes()
+    written = []
+
+    def pack_then_fail(fh, name, arr):
+        if len(written) == 3:
+            raise OSError("disk full")
+        written.append(name)
+        pack(fh, name, arr)
+
+    pack = model_mod._pack_tensor
+    monkeypatch.setattr(model_mod, "_pack_tensor", pack_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, init_model(2, 3, 4, 4, 2, seed=1))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.it2m"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

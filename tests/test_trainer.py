@@ -43,7 +43,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(base_lr=0.0)
     with pytest.raises(ConfigError):
-        TrainConfig(ema_alpha=1.5)
+        TrainConfig(seed=-1)
     with pytest.raises(ConfigError):
         TrainConfig(prototypes_per_class=0)
 
