@@ -188,6 +188,19 @@ def test_set_supervised_loss_matches_reference():
         assert _fd_gradient_errors(lambda: set_supervised_loss(x, targets, slices), x) < 1e-4
 
 
+def test_set_supervised_loss_single_scan_equals_combined():
+    # one scan: the objective is that scan's mean cross entropy plus its Lovasz term
+    rng = np.random.default_rng(3)
+    logits = rng.normal(size=(7, 3))
+    targets = rng.integers(0, 3, size=7)
+    got = float(set_supervised_loss(T(logits), targets, [(0, 7)]).data)
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    ce = -np.mean(np.log(probs[np.arange(7), targets]))
+    lov = float(lovasz_set_loss(T(probs), targets, [(0, 7)]).data)
+    assert got == pytest.approx(ce + lov, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pseudo labels
 # ---------------------------------------------------------------------------
