@@ -8,8 +8,7 @@ predictions across views the way the trainer does.
 import numpy as np
 
 from peerseg import SceneConfig, SensorSpec, generate_scene
-from peerseg.projection import (CategoricalGrid, cells_to_points,
-                                cross_transfer, point_labels_to_grid,
+from peerseg.projection import (cells_to_points, cross_transfer, point_labels_to_grid,
                                 project_to_range, project_to_voxel)
 
 cfg = SceneConfig(num_classes=4, points_per_scan=2000, rng_seed=7)
@@ -39,7 +38,7 @@ for name, view in (("range", rimg), ("voxel", vox)):
 
 for name, view in (("range", rimg), ("voxel", vox)):
     cat = point_labels_to_grid(view, scan.labels, cfg.num_classes)
-    back = cells_to_points(view, cat.labels)
+    back = cells_to_points(view, cat.cell_labels)
     agree = float((back == scan.labels).mean())
     print(f"{name} label round trip: {agree:.1%} of points read their own "
           f"label back")
@@ -50,12 +49,11 @@ for name, view in (("range", rimg), ("voxel", vox)):
 # ---- cross-view transfer, the peer-supervision primitive ------------------
 
 range_cat = point_labels_to_grid(rimg, scan.labels, cfg.num_classes)
-# soft fields hold one row per covered cell
-soft = CategoricalGrid(domain="range", num_classes=cfg.num_classes,
-                       probs=np.eye(cfg.num_classes)[rimg.at_cells(range_cat.labels)])
+# class fields hold one row per covered cell: a one-hot soft field here
+soft = np.eye(cfg.num_classes)[range_cat.cell_labels]
 moved = cross_transfer(soft, rimg, vox)
 direct = point_labels_to_grid(vox, scan.labels, cfg.num_classes)
-agree = float((vox.at_cells(moved.labels) == vox.at_cells(direct.labels)).mean())
+agree = float((moved.cell_labels == direct.cell_labels).mean())
 print(f"\nrange labels moved into the voxel view agree with direct voxel "
       f"labels on {agree:.1%} of occupied cells")
 print("the disagreement is the signal: each view bins the same points "

@@ -1,0 +1,105 @@
+"""Byte-identity protocol: hash every output of six fixed training runs.
+
+A refactor that must not change what the program computes runs this script
+on the parent commit and on the change and compares the printed lines.
+
+It generates one corpus (the acceptance recipe's scene, a 64x192 range
+image, 60 scans with 20 % labelled plus 10 eval scans, seed 0), then trains
+six configs for 8 epochs with seed 0: the four ablation rows, `adamw` with
+batch 3 and learning rate 0.01, and `pseudo_ramp_epochs = 3` with batch 5.
+Each trained model is scored with `eval --fused` under the global and the
+batchwise protocol.  Every command goes through `peerseg.cli.main` of the
+`src/` tree beside this script, and the INI text is written from this file,
+so two checkouts run the same settings byte for byte.
+
+    python3 scripts/output_hashes.py WORK_DIR
+
+WORK_DIR must not exist yet.  Output: one `sha256  path` line per file,
+paths relative to WORK_DIR.  Output bytes also depend on the BLAS thread
+count, so compare runs made with the same OPENBLAS_NUM_THREADS.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from peerseg import cli  # noqa: E402
+
+CORPUS_INI = """\
+[scene]
+num_classes = 4
+points_per_scan = 600
+pole_rho = 4.0, 9.0
+pole_radius = 0.3
+pole_height = 3.4
+wall_distance = 11.0, 18.0
+wall_height = 2.0
+z_jitter = 0.35
+archetype_shares = 0.40, 0.18, 0.24, 0.18
+
+[sensor]
+image_height = 64
+image_width = 192
+
+[data]
+num_scans = 60
+eval_scans = 10
+labelled_fraction = 0.2
+"""
+
+ROWS = {
+    "sup": "use_cross_supervision = false\nuse_contrastive = false\n"
+           "use_augmentation = false\n",
+    "cross": "use_cross_supervision = true\nuse_contrastive = false\n"
+             "use_augmentation = false\n",
+    "cross+ctr": "use_cross_supervision = true\nuse_contrastive = true\n"
+                 "use_augmentation = false\n",
+    "cross+ctr+aug": "use_cross_supervision = true\nuse_contrastive = true\n"
+                     "use_augmentation = true\n",
+    "adamw": "optimizer = adamw\nbatch_size = 3\nbase_lr = 0.01\n",
+    "ramp": "pseudo_ramp_epochs = 3\nbatch_size = 5\n",
+}
+
+
+def _run(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    if code != 0:
+        raise SystemExit(f"peerseg {' '.join(argv)} exited with {code}")
+    return out.getvalue()
+
+
+def main(work: Path) -> None:
+    work.mkdir(parents=True)
+    corpus_ini = work / "corpus.ini"
+    corpus_ini.write_text(CORPUS_INI)
+    corpus = work / "corpus"
+    _run(["gen", "--out", str(corpus), "--config", str(corpus_ini), "--seed", "0"])
+    outputs = [corpus / cli.MANIFEST_NAME]
+    for name, settings in ROWS.items():
+        ini = work / f"{name}.ini"
+        ini.write_text(f"[train]\nepochs = 8\n{settings}")
+        run = work / name
+        _run(["train", "--data", str(corpus), "--out", str(run), "--config", str(ini),
+              "--seed", "0"])
+        outputs += [run / "metrics.jsonl", run / "model.it2m"]
+        for protocol in ("global", "batchwise"):
+            path = run / f"eval_{protocol}.json"
+            path.write_text(_run(["eval", "--model", str(run / "model.it2m"),
+                                  "--data", str(corpus), "--protocol", protocol,
+                                  "--fused"]))
+            outputs.append(path)
+    for path in outputs:
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(work)}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit(__doc__)
+    main(Path(sys.argv[1]))

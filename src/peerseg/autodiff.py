@@ -188,12 +188,6 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     return Tensor(out_data, _parents=(a,), _push=push)
 
 
-def mean(a, axis=None) -> Tensor:
-    a = _wrap(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
-
-
 def leaky_relu(a, slope=0.01) -> Tensor:
     a = _wrap(a)
     factor = np.where(a.data >= 0, 1.0, slope)
@@ -226,23 +220,6 @@ def take_at(a, rows, cols) -> Tensor:
     a = _wrap(a)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    out_data = a.data[rows, cols]
-
-    def push(g):
-        if not a.needs_grad:
-            return
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, (rows, cols), g)
-        _accum(a, buf)
-
-    return Tensor(out_data, _parents=(a,), _push=push)
-
-
-def take_per_row(a, cols) -> Tensor:
-    """out[i] = a[i, cols[i]] for a 2-d operand."""
-    a = _wrap(a)
-    cols = np.asarray(cols, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])
     out_data = a.data[rows, cols]
 
     def push(g):

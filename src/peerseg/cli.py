@@ -1,10 +1,11 @@
 """Command line front end: gen / train / eval / ablate.
 
 Exit codes: 1 for usage and configuration problems, 2 for missing or
-malformed data files, 3 for numeric failures during training.  Settings
-come from an INI file with [scene], [sensor], [train], and [data]
-sections; every key must match a known field, values use the field's
-type (tuples comma-separated, booleans true/false).
+malformed data files (a checkpoint whose outputs overflow included) and
+any other file-system error, 3 for numeric failures during training.
+Settings come from a UTF-8 INI file with [scene], [sensor], [train], and
+[data] sections; every key must match a known field, values are plain
+text in the field's type (tuples comma-separated, booleans true/false).
 """
 
 from __future__ import annotations
@@ -102,12 +103,11 @@ def _section_config(parser: configparser.ConfigParser, section: str):
 
 def load_config(path=None):
     """All four section configs, from an optional INI file."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are plain text
     if path is not None:
-        text = Path(path).read_text()
         try:
-            parser.read_string(text, source=str(path))
-        except configparser.Error as exc:
+            parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from None
         for section in parser.sections():
             if section not in _SECTIONS:
@@ -162,9 +162,9 @@ def read_manifest(data_dir) -> dict:
     if not path.is_file():
         raise FormatError(f"no {MANIFEST_NAME} in {data_dir}")
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{path} must hold a JSON object")
     for key in ("format", "num_classes", "sensor") + SPLITS:
@@ -172,6 +172,9 @@ def read_manifest(data_dir) -> dict:
             raise FormatError(f"{path} is missing the {key!r} entry")
     if manifest["format"] != "IT2S":
         raise FormatError(f"{path}: unknown corpus format {manifest['format']!r}")
+    num_classes = manifest["num_classes"]
+    if isinstance(num_classes, bool) or not isinstance(num_classes, int) or num_classes < 1:
+        raise FormatError(f"{path}: num_classes must be an integer >= 1, got {num_classes!r}")
     for split in SPLITS:
         if not isinstance(manifest[split], list):
             raise FormatError(f"{path}: {split!r} must be a list of file names")
@@ -273,8 +276,11 @@ def _cmd_eval(args) -> int:
         raise FormatError(f"manifest lists no {args.split!r} scans")
     if all((scan.labels == UNLABELLED).all() for scan in scans):
         raise FormatError(f"the {args.split!r} scans have no labelled point to score")
-    result = trainer_mod.evaluate(state, manifest["sensor"], scans,
-                                  protocol=args.protocol, include_fused=args.fused)
+    try:
+        result = trainer_mod.evaluate(state, manifest["sensor"], scans,
+                                      protocol=args.protocol, include_fused=args.fused)
+    except NumericError as exc:  # nothing trains here: the input files are at fault
+        raise FormatError(f"{args.model} on {args.data}: {exc}") from None
     # NaN, the IoU of a class absent from truth and prediction, is not JSON: print null
     result = json.loads(json.dumps(result), parse_constant=lambda _: None)
     print(json.dumps(result, indent=2, allow_nan=False))
@@ -373,7 +379,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .projection import CategoricalGrid, cross_transfer
+from .projection import cross_transfer
 
 
 def log_softmax(logits: Tensor) -> Tensor:
@@ -46,11 +46,13 @@ def _lovasz_weights(fg_sorted: np.ndarray) -> np.ndarray:
     return jaccard
 
 
-def make_pseudo_labels(range_probs: CategoricalGrid, voxel_probs: CategoricalGrid,
+def make_pseudo_labels(range_probs: np.ndarray, voxel_probs: np.ndarray,
                        range_img, voxel_grid):
     """Swap soft predictions across views -> hard labels + confidence each way.
 
-    Returns (pseudo_for_range, pseudo_for_voxel): the range view is
+    Each view's probabilities are (M, Y) rows on its covered cells.  Returns
+    (pseudo_for_range, pseudo_for_voxel), hard fields on the range image's
+    and the voxel grid's cells: the range view is
     supervised by the voxel view's moved predictions and vice versa.  Built
     entirely from detached numpy arrays, so no gradient can reach either
     producing network.
@@ -118,6 +120,6 @@ def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
     ce_w = np.empty(targets.shape[0])
     for start, stop in slices:
         ce_w[start:stop] = 1.0 / (num_scans * max(stop - start, 1))
-    picked = ad.take_per_row(logp, targets)
+    picked = ad.take_at(logp, np.arange(targets.shape[0]), targets)
     ce = ad.mul(ad.tsum(ad.mul(picked, ce_w)), -1.0)
     return ad.add(ce, lovasz_set_loss(ad.exp(logp), targets, slices))

@@ -9,6 +9,7 @@ of the view's cell table are ever evaluated.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import FormatError, NumericError
-from .projection import CategoricalGrid, RangeImage, VoxelGrid
+from .projection import RangeImage, VoxelGrid
 from .scans import atomic_open
 
 LEAKY_SLOPE = 0.01
@@ -168,21 +169,16 @@ def _view_of(state: ModelState, grid) -> ViewParams:
     raise TypeError(f"not a grid view: {type(grid).__name__}")
 
 
-def valid_cells(grid) -> np.ndarray:
-    """Feature rows of the covered cells, in row-major cell order (float64)."""
-    return grid.cells
-
-
 def forward_segment(state: ModelState, grid) -> Tensor:
     """Class logits for every covered cell of the grid, row-major order."""
     view = _view_of(state, grid)
-    return segment_logits(view, trunk_hidden(view, valid_cells(grid)))
+    return segment_logits(view, trunk_hidden(view, grid.cells))
 
 
 def forward_embed(state: ModelState, grid) -> Tensor:
     """Unit-norm embeddings for every covered cell of the grid."""
     view = _view_of(state, grid)
-    return project_embed(view, trunk_hidden(view, valid_cells(grid)))
+    return project_embed(view, trunk_hidden(view, grid.cells))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -195,13 +191,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def probs_grid(grid, logits: Tensor, num_classes: int) -> CategoricalGrid:
-    """Per-cell softmax probabilities: one row per covered cell of the grid."""
+def probs_grid(grid, logits: Tensor, num_classes: int) -> np.ndarray:
+    """The soft class field of a grid: (M, Y) softmax rows, one per covered cell
+    in ``cells`` order, from the logits of those cells."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     if data.shape != (grid.num_cells, num_classes):
         raise ValueError(f"logits of shape {data.shape} for {grid.num_cells} cells "
                          f"and {num_classes} classes")
-    return CategoricalGrid(domain=grid.domain, num_classes=num_classes, probs=softmax(data))
+    return softmax(data)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +345,9 @@ def load_checkpoint(path):
                               offset=rd.off - len(raw)) from None
         ndim = rd.u32("ndim")
         shape = tuple(rd.u32("dim") for _ in range(ndim))
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        size = math.prod(shape)  # exact: an int64 product of corrupt dims can wrap
+        if size == 0:           # every tensor the program writes holds values
+            raise FormatError(f"tensor {name!r} of shape {shape} is empty")
         payload = rd.take(8 * size, f"tensor {name!r}")
         tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         if not np.isfinite(tensors[name]).all():

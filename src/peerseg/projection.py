@@ -26,11 +26,13 @@ range winners or the voxel CSR members.  No dense array is allocated; the
 dense grids (``grid``, ``valid``, ``point_index``, ``occupied``) are
 derived on access for inspection and never stored.
 
-Soft class fields are per cell.  One moves to the other view by a gather
-through ``cell_of_point`` followed by the destination's aggregation rule
-(winner pixel for the range image, member mean for the voxel grid); argmax
-of the moved field gives hard labels, its max gives a confidence.  Hard
-fields have no class axis and are scattered once into dense grids.
+Class fields are per cell too.  A soft field is an (M, Y) array of class
+probabilities, one row per covered cell.  It moves to the other view by a
+gather through ``cell_of_point`` followed by the destination's aggregation
+rule (winner pixel for the range image, member mean for the voxel grid);
+argmax of the moved rows gives hard labels, their max a confidence.  A
+hard field keeps those as (M,) arrays on its view's cells; its dense
+grids, like the view's, are derived on access.
 """
 
 from __future__ import annotations
@@ -75,14 +77,6 @@ class _CellTable:
         out[self.cell_ids] = values
         return out.reshape(tuple(self.shape) + values.shape[1:])
 
-    def at_cells(self, field) -> np.ndarray:
-        """The rows of a dense grid field at the covered cells, in ``cells`` order."""
-        field = np.asarray(field)
-        k = len(self.shape)
-        if field.shape[:k] != tuple(self.shape):
-            raise ValueError(f"a field of shape {field.shape} does not cover the grid {self.shape}")
-        return field.reshape((-1,) + field.shape[k:])[self.cell_ids]
-
     @property
     def grid(self) -> np.ndarray:
         """The dense channel grid, zero where not covered."""
@@ -102,7 +96,9 @@ class RangeImage(_CellTable):
 
     winners: np.ndarray       # (M,) int64 winning point id of each covered pixel
 
-    domain = "range"
+    def points_to_cells(self, point_values: np.ndarray) -> np.ndarray:
+        """Per-point rows onto the covered pixels: each pixel keeps its winner's row."""
+        return point_values[self.winners]
 
     @property
     def valid(self) -> np.ndarray:
@@ -127,7 +123,9 @@ class VoxelGrid(_CellTable):
     member_order: np.ndarray  # (N,) point ids grouped by voxel
     member_starts: np.ndarray  # (M + 1,) CSR offsets into member_order
 
-    domain = "voxel"
+    def points_to_cells(self, point_values: np.ndarray) -> np.ndarray:
+        """Per-point rows onto the occupied voxels: the mean over each voxel's members."""
+        return _cell_means(self.cell_of_point, self.num_cells, point_values)
 
     @property
     def occupied(self) -> np.ndarray:
@@ -142,30 +140,25 @@ class VoxelGrid(_CellTable):
 
 @dataclass
 class CategoricalGrid:
-    """A class field on one grid view.
+    """Hard class labels with confidences on one grid view.
 
-    Soft fields (``probs``) are per cell: one row of class probabilities per
-    covered cell of the view, in its ``cells`` order.  Hard fields
-    (``labels`` plus optional ``confidence``) have no class axis and are
-    dense over the view's whole grid; cells the view does not cover hold
-    label 0 and confidence 0 and are meaningless.
+    ``cell_labels`` and ``cell_confidence`` hold one value per covered cell
+    of ``view``, in its ``cells`` order.  The dense ``labels`` and
+    ``confidence`` grids are derived on access for inspection; cells the
+    view does not cover hold label 0 and confidence 0 there.
     """
 
-    domain: str               # "range" | "voxel"
-    num_classes: int
-    probs: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    confidence: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.domain not in ("range", "voxel"):
-            raise ValueError(f"unknown domain {self.domain!r}")
-        if (self.probs is None) == (self.labels is None):
-            raise ValueError("exactly one of probs/labels must be set")
+    view: _CellTable
+    cell_labels: np.ndarray      # (M,) int64
+    cell_confidence: np.ndarray  # (M,) f64
 
     @property
-    def is_soft(self) -> bool:
-        return self.probs is not None
+    def labels(self) -> np.ndarray:
+        return self.view.scatter(self.cell_labels)
+
+    @property
+    def confidence(self) -> np.ndarray:
+        return self.view.scatter(self.cell_confidence)
 
 
 def _range_angles(positions: np.ndarray):
@@ -261,62 +254,39 @@ def project_to_voxel(scan: PointScan, sensor: SensorSpec) -> VoxelGrid:
 # cell <-> point transfers
 # ---------------------------------------------------------------------------
 
-def cells_to_points(view, cell_values: np.ndarray) -> np.ndarray:
-    """Read a dense grid field back onto points (each point reads its own cell)."""
+def cells_to_points(view, cell_values) -> np.ndarray:
+    """Per-cell rows read back onto points: each point reads its own cell's row."""
     if not isinstance(view, _CellTable):
         raise TypeError(f"not a grid view: {type(view).__name__}")
-    return view.at_cells(cell_values)[view.cell_of_point]
+    cell_values = np.asarray(cell_values)
+    if cell_values.shape[:1] != (view.num_cells,):
+        raise ValueError(f"a field of shape {cell_values.shape} for {view.num_cells} cells")
+    return cell_values[view.cell_of_point]
 
 
-def _require_domain(cat: CategoricalGrid, view):
-    if cat.domain != view.domain:
-        raise ValueError(f"categorical field is {cat.domain!r} but the view is {view.domain!r}")
-
-
-def _points_to_cells(view, point_values: np.ndarray) -> np.ndarray:
-    """Aggregate per-point vectors onto the covered cells, one row per cell in
-    ``cells`` order: the winner's row for range, the member mean for voxel."""
-    vals = np.asarray(point_values, dtype=np.float64)
-    if vals.shape[0] != view.num_points:
-        raise ValueError("per-point array length does not match the view")
-    if isinstance(view, RangeImage):
-        return vals[view.winners]
-    if isinstance(view, VoxelGrid):
-        return _cell_means(view.cell_of_point, view.num_cells, vals)
-    raise TypeError(f"not a grid view: {type(view).__name__}")
-
-
-def _hard_field(view, moved: np.ndarray, num_classes: int) -> CategoricalGrid:
+def _hard_field(view, moved: np.ndarray) -> CategoricalGrid:
     """Argmax labels (ties to the smallest class id) and max confidences of a
-    per-cell soft field, scattered once into dense grids."""
-    return CategoricalGrid(
-        domain=view.domain,
-        num_classes=num_classes,
-        labels=view.scatter(np.argmax(moved, axis=-1).astype(np.int64)),
-        confidence=view.scatter(np.max(moved, axis=-1)),
-    )
+    per-cell soft field."""
+    return CategoricalGrid(view, np.argmax(moved, axis=-1).astype(np.int64),
+                           np.max(moved, axis=-1))
 
 
-def cross_transfer(src_cat: CategoricalGrid, src_view, dst_view) -> CategoricalGrid:
-    """Move a soft class field from one view to the other; return hard labels
-    with confidences on the destination grid.
+def cross_transfer(probs, src_view, dst_view) -> CategoricalGrid:
+    """Move a soft class field, (M, Y) rows on the source view's cells, to the
+    other view; return hard labels with confidences on the destination cells.
 
     Each destination point reads its source cell's row; the destination
     then aggregates those rows per cell.  Ties in the argmax resolve to the
     smallest class id.  The construction is pure numpy on detached arrays;
     nothing here carries gradients.
     """
-    _require_domain(src_cat, src_view)
-    if not src_cat.is_soft:
-        raise ValueError("cross_transfer needs a soft (probs) field")
     if src_view.num_points != dst_view.num_points:
         raise ValueError("source and destination views describe different scans")
-    probs = np.asarray(src_cat.probs)
-    if probs.shape[0] != src_view.num_cells:
-        raise ValueError(f"soft field has {probs.shape[0]} rows, "
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[0] != src_view.num_cells:
+        raise ValueError(f"soft field of shape {probs.shape}, "
                          f"the view covers {src_view.num_cells} cells")
-    moved = _points_to_cells(dst_view, probs[src_view.cell_of_point])
-    return _hard_field(dst_view, moved, src_cat.num_classes)
+    return _hard_field(dst_view, dst_view.points_to_cells(probs[src_view.cell_of_point]))
 
 
 def point_labels_to_grid(view, labels: np.ndarray, num_classes: int) -> CategoricalGrid:
@@ -327,7 +297,9 @@ def point_labels_to_grid(view, labels: np.ndarray, num_classes: int) -> Categori
     majority label of its members (ties to the smallest class id).
     """
     labels = np.asarray(labels)
+    if labels.shape != (view.num_points,):
+        raise ValueError("per-point array length does not match the view")
     one_hot = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
     keep = labels < num_classes  # sentinel-labelled points contribute nothing
     one_hot[np.nonzero(keep)[0], labels[keep].astype(np.int64)] = 1.0
-    return _hard_field(view, _points_to_cells(view, one_hot), num_classes)
+    return _hard_field(view, view.points_to_cells(one_hot))

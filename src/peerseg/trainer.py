@@ -34,7 +34,8 @@ from .autodiff import Tensor
 from .augment import cutmix_range, lasermix_voxel, make_mix_plan
 from .errors import ConfigError, NumericError
 from .metrics import ConfusionMatrix, fuse_predictions
-from .projection import point_labels_to_grid, project_to_range, project_to_voxel
+from .projection import (cells_to_points, point_labels_to_grid, project_to_range,
+                         project_to_voxel)
 from .scans import PointScan, SensorSpec
 
 METRIC_KEYS = ("epoch", "lr", "loss_total", "loss_range_labelled", "loss_range_pseudo",
@@ -91,7 +92,7 @@ class _Bundle:
 
 def _bundle(scan, sensor, with_targets):
     grids = (project_to_range(scan, sensor), project_to_voxel(scan, sensor))
-    targets = tuple(g.at_cells(point_labels_to_grid(g, scan.labels, scan.num_classes).labels)
+    targets = tuple(point_labels_to_grid(g, scan.labels, scan.num_classes).cell_labels
                     for g in grids) if with_targets else None
     return _Bundle(scan, grids, targets)
 
@@ -114,11 +115,11 @@ def _lasermix_cells(batch, labels, plan, sensor, y_count):
         j = (i + 1) % len(batch)
         b = batch[j]
         mixed, point_labels = lasermix_voxel(
-            a.scan, b.scan, labels[i][a.grids[1].cell_of_point],
-            labels[j][b.grids[1].cell_of_point], sensor, plan)
+            a.scan, b.scan, cells_to_points(a.grids[1], labels[i]),
+            cells_to_points(b.grids[1], labels[j]), sensor, plan)
         vox = project_to_voxel(mixed, sensor)
         cells.append(vox.cells)
-        targets.append(vox.at_cells(point_labels_to_grid(vox, point_labels, y_count).labels))
+        targets.append(point_labels_to_grid(vox, point_labels, y_count).cell_labels)
     return cells, targets
 
 
@@ -201,10 +202,6 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
     def forward_batch(k, batch):
         return forward(k, [b.grids[k].cells for b in batch])
 
-    def covered(fields, batch, k, attr):
-        """Per scan, the dense fields' attr read at view k's covered cells."""
-        return [b.grids[k].at_cells(getattr(f, attr)) for f, b in zip(fields, batch)]
-
     # labelled forward, per view: (hidden, logits, slices)
     lab = [forward_batch(k, batch_lab) for k in range(2)]
     lab_targets = [np.concatenate([b.targets[k] for b in batch_lab]) for k in range(2)]
@@ -222,10 +219,9 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
         # pseudo[k][i]: scan i's labels for view k, moved over from the other view
         pseudo = list(zip(*(losses_mod.make_pseudo_labels(rp, vp, *b.grids)
                             for rp, vp, b in zip(*probs, batch_unlab))))
-        pseudo_cells = [covered(pseudo[k], batch_unlab, k, "labels") for k in range(2)]
+        pseudo_cells = [[p.cell_labels for p in pseudo[k]] for k in range(2)]
         pseudo_t = [np.concatenate(c) for c in pseudo_cells]
-        pseudo_c = [np.concatenate(covered(pseudo[k], batch_unlab, k, "confidence"))
-                    for k in range(2)]
+        pseudo_c = [np.concatenate([p.cell_confidence for p in pseudo[k]]) for k in range(2)]
         ramp = 1.0
         if config.pseudo_ramp_epochs > 0:
             ramp = min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
@@ -300,8 +296,7 @@ def _bundle_point_probs(state, bundle):
     out = []
     for grid in bundle.grids:
         logits = model_mod.forward_segment(state, grid)
-        cat = model_mod.probs_grid(grid, logits, state.num_classes)
-        out.append(cat.probs[grid.cell_of_point])
+        out.append(cells_to_points(grid, model_mod.probs_grid(grid, logits, state.num_classes)))
     return tuple(out)
 
 

@@ -97,7 +97,7 @@ def test_projection_round_trip_is_exact():
         scan = _collision_free_scan(rng, sensor, 4)
         for view in (project_to_range(scan, sensor), project_to_voxel(scan, sensor)):
             cat = point_labels_to_grid(view, scan.labels, 4)
-            exact = exact and np.array_equal(cells_to_points(view, cat.labels),
+            exact = exact and np.array_equal(cells_to_points(view, cat.cell_labels),
                                              scan.labels)
         points += scan.num_points
     elapsed = time.perf_counter() - start
@@ -139,12 +139,12 @@ def _sort_gaps_ok(logits_data, targets, slices, floor=2e-4):
 
 
 def _trunk_margin(view, grids):
-    x = np.concatenate([model_mod.valid_cells(g) for g in grids]) / view.input_scale
+    x = np.concatenate([g.cells for g in grids]) / view.input_scale
     return float(np.abs(x @ view.w1.data + view.b1.data).min())
 
 
 def _embed_prenorm_min(view, grid):
-    h = model_mod.trunk_hidden(view, model_mod.valid_cells(grid))
+    h = model_mod.trunk_hidden(view, grid.cells)
     h = ad.leaky_relu(ad.add(ad.matmul(h, view.p1w), view.p1b), model_mod.LEAKY_SLOPE)
     h = ad.leaky_relu(ad.add(ad.matmul(h, view.p2w), view.p2b), model_mod.LEAKY_SLOPE)
     h = ad.add(ad.matmul(h, view.p3w), view.p3b)
@@ -154,7 +154,7 @@ def _embed_prenorm_min(view, grid):
 def _set_forward(view, grids):
     """Several scans' covered cells stacked through one view, as the trainer
     runs a scan set: (logits, per-scan row slices)."""
-    cells = [model_mod.valid_cells(g) for g in grids]
+    cells = [g.cells for g in grids]
     stops = np.cumsum([c.shape[0] for c in cells]).tolist()
     hidden = model_mod.trunk_hidden(view, np.concatenate(cells))
     return model_mod.segment_logits(view, hidden), list(zip([0] + stops[:-1], stops))
@@ -190,7 +190,7 @@ def _build_infonce(seed):
         rimg = project_to_range(scan, sensor)
         if _embed_prenorm_min(state.range_view, rimg) >= 0.03:
             break
-    n = model_mod.valid_cells(rimg).shape[0]
+    n = rimg.num_cells
     preds = rng.integers(0, 3, n)
     tgts = rng.integers(0, 3, n)
     bank = known_bank(rng, 3, 2, 4)
@@ -213,13 +213,12 @@ def _build_combined(seed, ramp=0.7):
         scan_u = random_scan(rng, 26, 3)
         grids_l = (project_to_range(scan_l, sensor), project_to_voxel(scan_l, sensor))
         grids_u = (project_to_range(scan_u, sensor), project_to_voxel(scan_u, sensor))
-        t_l = [g.at_cells(point_labels_to_grid(g, scan_l.labels, 3).labels) for g in grids_l]
+        t_l = [point_labels_to_grid(g, scan_l.labels, 3).cell_labels for g in grids_l]
         # peer labels are frozen here: recomputing them under perturbed
         # weights would chase a moving target the real pipeline detaches
         probs = [model_mod.probs_grid(g, model_mod.forward_segment(state, g).data, 3)
                  for g in grids_u]
-        t_u = [g.at_cells(p.labels)
-               for g, p in zip(grids_u, make_pseudo_labels(*probs, *grids_u))]
+        t_u = [p.cell_labels for p in make_pseudo_labels(*probs, *grids_u)]
         smooth = all(
             _sort_gaps_ok(model_mod.forward_segment(state, g).data, t, [(0, len(t))])
             for g, t in zip(grids_l + grids_u, t_l + t_u))

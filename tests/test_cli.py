@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from peerseg.cli import load_config, main, read_manifest
-from peerseg.errors import ConfigError
+from peerseg.errors import ConfigError, FormatError
 from peerseg.model import init_model, save_checkpoint
 from peerseg.scans import UNLABELLED, PointScan, read_scan, write_scan
 from peerseg.trainer import METRIC_KEYS
@@ -417,3 +417,68 @@ def test_corrupt_checkpoint_exit_2(tmp_path, ini, capsys, offset, patch):
     path.write_bytes(bytes(blob))
     assert main(["eval", "--model", str(path), "--data", str(corpus)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["gen_out_is_file", "train_out_under_file",
+                                  "eval_model_is_dir", "config_is_dir"])
+def test_file_system_errors_exit_2(tmp_path, ini, capsys, case):
+    corpus = gen_corpus(tmp_path, ini)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argv, path = {
+        "gen_out_is_file": (["gen", "--out", str(a_file), "--config", ini], a_file),
+        "train_out_under_file": (["train", "--data", str(corpus), "--out",
+                                  str(a_file / "run"), "--config", ini], a_file / "run"),
+        "eval_model_is_dir": (["eval", "--model", str(corpus), "--data", str(corpus)], corpus),
+        "config_is_dir": (["train", "--data", str(corpus), "--out", str(tmp_path / "run"),
+                           "--config", str(corpus)], corpus),
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(path) in err
+
+
+def test_non_utf8_ini_exit_1(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes("[train]\n# r\xe9glages\nepochs = 2\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(path)
+    assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(path)]) == 1
+    assert "error: cannot parse" in capsys.readouterr().err
+
+
+def test_non_utf8_manifest_exit_2(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = corpus / "manifest.json"
+    manifest.write_bytes(manifest.read_bytes().replace(b'"IT2S"', b'"IT2S\xff"'))
+    with pytest.raises(FormatError, match="UTF-8"):
+        read_manifest(corpus)
+    capsys.readouterr()
+    assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
+                 "--config", ini]) == 2
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["4", 0, 2.0, True, None], ids=str)
+def test_manifest_num_classes_must_be_a_positive_integer(tmp_path, ini, capsys, value):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["num_classes"] = value
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
+                 "--config", ini]) == 2
+    assert "num_classes must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_eval_of_overflowing_checkpoint_exit_2(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    state = init_model(1, 3, 4, 4, 2)
+    state.range_view.w2.data[:] = 1e308    # finite weights, non-finite logits
+    save_checkpoint(tmp_path / "model.it2m", state)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus)])
+    assert code == 2
+    assert "model.it2m on" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from peerseg import (CategoricalGrid, PointScan, SensorSpec, make_pseudo_labels,
+from peerseg import (PointScan, SensorSpec, make_pseudo_labels,
                      project_to_range, project_to_voxel, set_supervised_loss)
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
@@ -219,11 +219,9 @@ def test_make_pseudo_labels_swaps_directions():
     range_probs[img.cell_of_point] = (0.9, 0.1)       # range net says class 0
     voxel_probs = np.zeros((vox.num_cells, 2))
     voxel_probs[vox.cell_of_point[0]] = (0.2, 0.8)    # voxel net says class 1
-    for_range, for_voxel = make_pseudo_labels(
-        CategoricalGrid(domain="range", num_classes=2, probs=range_probs),
-        CategoricalGrid(domain="voxel", num_classes=2, probs=voxel_probs),
-        img, vox)
-    assert for_range.domain == "range" and for_voxel.domain == "voxel"
+    for_range, for_voxel = make_pseudo_labels(range_probs, voxel_probs, img, vox)
+    assert for_range.view is img and for_voxel.view is vox
+    assert for_range.cell_labels.shape == (img.num_cells,)
     # each view is supervised by the other's prediction
     for pix in img.pixel_of_point:
         assert for_range.labels[tuple(pix)] == 1

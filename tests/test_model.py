@@ -10,7 +10,7 @@ from peerseg import model as model_mod
 from peerseg.autodiff import Tensor
 from peerseg.gmm import bank_tensors
 from peerseg.model import (AdamW, forward_embed, forward_segment, probs_grid,
-                           sensor_input_scale, softmax, trunk_hidden, valid_cells)
+                           sensor_input_scale, softmax, trunk_hidden)
 
 
 def tiny_state(**kw):
@@ -91,9 +91,9 @@ def test_input_scale_divides_features():
     assert a.data == pytest.approx(b.data)
 
 
-def test_valid_cells_row_major_order():
+def test_cells_row_major_order():
     _, _, img, _ = views()
-    cells = valid_cells(img)
+    cells = img.cells
     assert cells.shape == (int(img.valid.sum()), 5)
     first = np.argwhere(img.valid)[0]
     assert cells[0].tolist() == img.grid[tuple(first)].tolist()
@@ -110,10 +110,10 @@ def test_probs_grid_masks_and_sums():
     _, _, img, _ = views()
     s = init_model(1, 4, seed=0)
     logits = forward_segment(s, img)
-    cat = probs_grid(img, logits, 4)
+    probs = probs_grid(img, logits, 4)
     # one row per covered cell, nothing for the empty ones
-    assert cat.probs.shape == (int(img.valid.sum()), 4)
-    assert cat.probs.sum(axis=1) == pytest.approx(np.ones(int(img.valid.sum())))
+    assert probs.shape == (int(img.valid.sum()), 4)
+    assert probs.sum(axis=1) == pytest.approx(np.ones(int(img.valid.sum())))
 
 
 # ---------------------------------------------------------------------------

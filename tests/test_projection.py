@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peerseg import (CategoricalGrid, PointScan, SceneConfig, SensorSpec, UNLABELLED,
+from peerseg import (PointScan, RangeImage, SceneConfig, SensorSpec, UNLABELLED,
                      cells_to_points, cross_transfer, generate_scene,
                      point_labels_to_grid, project_to_range, project_to_voxel)
 
@@ -142,10 +142,11 @@ def test_cross_transfer_range_to_voxel_averages():
     probs = np.zeros((img.num_cells, 2))      # soft fields are per covered cell
     probs[img.cell_of_point[0]] = (0.9, 0.1)
     probs[img.cell_of_point[1]] = (0.2, 0.8)
-    cat = CategoricalGrid(domain="range", num_classes=2, probs=probs)
-    out = cross_transfer(cat, img, vox)
+    out = cross_transfer(probs, img, vox)
     h, w, l = vox.voxel_of_point[0]
-    assert out.domain == "voxel"
+    assert out.view is vox
+    assert out.cell_labels.tolist() == [0]   # hard fields are per covered cell too
+    assert out.cell_confidence == pytest.approx([0.55], abs=1e-12)
     assert out.labels[h, w, l] == 0
     assert out.confidence[h, w, l] == pytest.approx(0.55, abs=1e-12)
 
@@ -154,8 +155,7 @@ def test_cross_transfer_voxel_to_range_broadcasts():
     _, img, vox = two_point_views()
     probs = np.zeros((vox.num_cells, 2))
     probs[vox.cell_of_point[0]] = (0.3, 0.7)
-    cat = CategoricalGrid(domain="voxel", num_classes=2, probs=probs)
-    out = cross_transfer(cat, vox, img)
+    out = cross_transfer(probs, vox, img)
     for pix in img.pixel_of_point:
         assert out.labels[tuple(pix)] == 1
         assert out.confidence[tuple(pix)] == pytest.approx(0.7)
@@ -166,8 +166,7 @@ def test_cross_transfer_argmax_tie_prefers_smaller_class():
     probs = np.zeros((img.num_cells, 2))
     probs[img.cell_of_point[0]] = (0.1, 0.9)
     probs[img.cell_of_point[1]] = (0.9, 0.1)
-    out = cross_transfer(CategoricalGrid(domain="range", num_classes=2, probs=probs),
-                         img, vox)
+    out = cross_transfer(probs, img, vox)
     h, w, l = vox.voxel_of_point[0]
     assert out.confidence[h, w, l] == pytest.approx(0.5)
     assert out.labels[h, w, l] == 0
@@ -176,19 +175,14 @@ def test_cross_transfer_argmax_tie_prefers_smaller_class():
 def test_cross_transfer_rejects_mismatches():
     scan, img, vox = two_point_views()
     probs = np.zeros((img.num_cells, 2))
-    cat = CategoricalGrid(domain="range", num_classes=2, probs=probs)
     with pytest.raises(ValueError):
-        cross_transfer(cat, vox, img)  # domain mismatch
-    hard = CategoricalGrid(domain="range", num_classes=2,
-                           labels=np.zeros(img.shape, dtype=np.int64))
+        cross_transfer(probs, vox, img)  # rows of the other view
     with pytest.raises(ValueError):
-        cross_transfer(hard, img, vox)  # needs soft probs
-    other = project_to_range(make_scan([[1, 0, 0]]), SENSOR)
+        cross_transfer(np.zeros(img.num_cells, dtype=np.int64), img, vox)  # needs a class axis
     with pytest.raises(ValueError):
-        cross_transfer(cat, img, project_to_voxel(make_scan([[1, 0, 0]]), SENSOR))
-    dense = CategoricalGrid(domain="range", num_classes=2, probs=np.zeros(img.shape + (2,)))
+        cross_transfer(probs, img, project_to_voxel(make_scan([[1, 0, 0]]), SENSOR))
     with pytest.raises(ValueError):
-        cross_transfer(dense, img, vox)  # soft fields hold one row per covered cell
+        cross_transfer(np.zeros(img.shape + (2,)), img, vox)  # one row per covered cell
 
 
 def test_point_labels_majority_vote_in_voxel():
@@ -224,11 +218,13 @@ def test_point_labels_ignore_sentinel():
 
 
 def test_cells_to_points_reads_own_cell():
-    scan = make_scan([[2.0, 0, 0], [1.0, 0, 0]])
+    scan = make_scan([[2.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0]])
     img = project_to_range(scan, SENSOR)
-    field = np.zeros(img.shape)
-    field[8, 48] = 7.5
-    assert cells_to_points(img, field).tolist() == [7.5, 7.5]
+    assert img.num_cells == 2
+    field = np.array([7.5, -1.0])   # one row per covered pixel, in cells order
+    assert cells_to_points(img, field).tolist() == [-1.0, -1.0, 7.5]
+    with pytest.raises(ValueError):
+        cells_to_points(img, np.zeros(img.shape))  # a dense grid is not per-cell rows
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +261,7 @@ def test_label_round_trip_both_views():
         for project in (project_to_range, project_to_voxel):
             view = project(scan, SENSOR)
             cat = point_labels_to_grid(view, scan.labels, scan.num_classes)
-            back = cells_to_points(view, cat.labels)
+            back = cells_to_points(view, cat.cell_labels)
             assert np.array_equal(back, scan.labels.astype(np.int64))
 
 
@@ -341,7 +337,7 @@ def _dense_reference(scan, sensor):
 def _dense_points_to_cells(view, vals):
     """Dense per-cell aggregation (winner row for range, member mean for voxel)."""
     k = vals.shape[1]
-    if view.domain == "range":
+    if isinstance(view, RangeImage):
         out = np.zeros(view.shape + (k,))
         out[view.valid] = vals[view.point_index[view.valid]]
         return out
@@ -389,9 +385,8 @@ def test_cell_tables_match_dense_references(seed, n, image, voxels, repeats):
     # transfers and label gridding against the dense aggregation
     for src, dst in ((img, vox), (vox, img)):
         probs = rng.dirichlet(np.ones(4), size=src.num_cells)
-        moved = cross_transfer(CategoricalGrid(domain=src.domain, num_classes=4, probs=probs),
-                               src, dst)
-        want = _dense_hard(_dense_points_to_cells(dst, cells_to_points(src, src.scatter(probs))))
+        moved = cross_transfer(probs, src, dst)
+        want = _dense_hard(_dense_points_to_cells(dst, cells_to_points(src, probs)))
         assert np.array_equal(moved.labels, want[0])
         assert np.array_equal(moved.confidence, want[1])
     for view in (img, vox):

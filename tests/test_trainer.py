@@ -8,6 +8,7 @@ from peerseg import (RangeImage, SceneConfig, SensorSpec, TrainConfig, VoxelGrid
                      evaluate, generate_dataset, predict_point_probs, split_dataset, train)
 from peerseg import trainer as trainer_mod
 from peerseg.errors import ConfigError
+from peerseg.projection import _CellTable
 from peerseg.trainer import ABLATION_ROWS, METRIC_KEYS
 
 
@@ -233,6 +234,8 @@ def test_training_and_eval_never_build_dense_grids(monkeypatch):
                        (VoxelGrid, ("grid", "occupied"))):
         for name in names:
             monkeypatch.setattr(cls, name, property(refuse))
+    # nor a dense label or confidence grid: every dense form goes through scatter
+    monkeypatch.setattr(_CellTable, "scatter", lambda self, values, fill=0: refuse(self))
     scans = tiny_dataset(6)
     lab, unlab = split_dataset(scans, 0.34)
     cfg = small_config(epochs=2, warmup_epochs=0, use_cross_supervision=True,
