@@ -16,15 +16,18 @@ so two checkouts run the same settings byte for byte.
 
 WORK_DIR must not exist yet.  Output: one `sha256  path` line per file,
 paths relative to WORK_DIR.  Output bytes also depend on the BLAS thread
-count, so compare runs made with the same OPENBLAS_NUM_THREADS.
+count, so the script sets OPENBLAS_NUM_THREADS=1 in its own environment
+before numpy loads; listings made on any machine are then comparable.
 """
 
 import contextlib
 import hashlib
 import io
+import os
 import sys
 from pathlib import Path
 
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads; this process only
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from peerseg import cli  # noqa: E402

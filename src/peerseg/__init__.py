@@ -7,15 +7,15 @@ drawn from per-class Gaussian mixtures.  Everything runs on numpy with a
 small built-in reverse-mode tape; there are no framework dependencies.
 """
 
-from .augment import MixPlan, cutmix_range, inclination_bands, lasermix_voxel, make_mix_plan
+from .augment import cutmix_range, inclination_bands, lasermix_voxel
 from .errors import ConfigError, FormatError, NumericError
 from .gmm import (GmmBank, collect_embeddings, contrastive_loss, em_update, ema_update,
                   mine_anchors, new_bank, responsibilities, sample_prototypes,
                   weighted_log_likelihood)
 from .losses import make_pseudo_labels, set_supervised_loss
-from .metrics import ConfusionMatrix, fuse_predictions, miou_batchwise, miou_global
-from .model import (AdamW, ModelState, forward_embed, forward_segment, init_model,
-                    load_checkpoint, poly_lr, save_checkpoint, sgd_step)
+from .metrics import ConfusionMatrix, fuse_predictions
+from .model import (AdamW, ModelState, forward_segment, init_model, load_checkpoint,
+                    poly_lr, save_checkpoint, sgd_step)
 from .projection import (CategoricalGrid, RangeImage, VoxelGrid, cells_to_points,
                          cross_transfer, point_labels_to_grid, project_to_range,
                          project_to_voxel)
@@ -27,15 +27,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamW", "CategoricalGrid", "ConfigError", "ConfusionMatrix", "FormatError",
-    "GmmBank", "MixPlan", "ModelState", "NumericError", "PointScan", "RangeImage",
-    "SceneConfig", "SensorSpec", "TrainConfig", "UNLABELLED", "VoxelGrid", "ablate",
-    "cells_to_points", "collect_embeddings", "contrastive_loss", "cross_transfer",
-    "cutmix_range", "em_update", "ema_update", "evaluate", "forward_embed",
-    "forward_segment", "fuse_predictions", "generate_dataset", "generate_scene",
-    "inclination_bands", "init_model", "lasermix_voxel", "load_checkpoint",
-    "make_mix_plan", "make_pseudo_labels", "mine_anchors", "miou_batchwise",
-    "miou_global", "new_bank", "point_labels_to_grid", "poly_lr",
-    "predict_point_probs", "project_to_range", "project_to_voxel", "read_scan",
-    "responsibilities", "sample_prototypes", "save_checkpoint",
-    "set_supervised_loss", "sgd_step", "split_dataset", "train", "write_scan",
+    "GmmBank", "ModelState", "NumericError", "PointScan", "RangeImage", "SceneConfig",
+    "SensorSpec", "TrainConfig", "UNLABELLED", "VoxelGrid", "ablate", "cells_to_points",
+    "collect_embeddings", "contrastive_loss", "cross_transfer", "cutmix_range",
+    "em_update", "ema_update", "evaluate", "forward_segment", "fuse_predictions",
+    "generate_dataset", "generate_scene", "inclination_bands", "init_model",
+    "lasermix_voxel", "load_checkpoint", "make_pseudo_labels", "mine_anchors",
+    "new_bank", "point_labels_to_grid", "poly_lr", "predict_point_probs",
+    "project_to_range", "project_to_voxel", "read_scan", "responsibilities",
+    "sample_prototypes", "save_checkpoint", "set_supervised_loss", "sgd_step",
+    "split_dataset", "train", "write_scan",
 ]

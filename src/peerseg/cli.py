@@ -15,6 +15,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -126,9 +127,27 @@ def _sensor_to_json(sensor: SensorSpec) -> dict:
     return out
 
 
+def _json_fits(value, typ) -> bool:
+    """Whether a JSON value holds a field of type typ: an int field takes an
+    integer, a float field a finite number, and neither takes a bool."""
+    if typing.get_origin(typ) is tuple:
+        args = typing.get_args(typ)
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_json_fits, value, args)))
+    if isinstance(value, bool):
+        return False
+    if typ is int:
+        return isinstance(value, int)
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
 def _sensor_from_json(obj: dict) -> SensorSpec:
+    hints = typing.get_type_hints(SensorSpec)
     try:
         obj = dict(obj)
+        for key, value in obj.items():
+            if key in hints and not _json_fits(value, hints[key]):
+                raise TypeError(f"{key} = {value!r} is not of type {hints[key]}")
         obj["voxel_dims"] = tuple(obj["voxel_dims"])
         return SensorSpec(**obj)
     except (KeyError, TypeError, ValueError) as exc:
@@ -290,16 +309,11 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     cfgs = load_config(args.config)
     train_cfg: TrainConfig = cfgs["train"]
-    if args.seeds is not None:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"--seeds must be comma-separated integers: {args.seeds!r}") from None
-    elif args.seed is not None:
-        seeds = (args.seed, args.seed + 1, args.seed + 2)
-    else:
-        seeds = (0, 1, 2)
+    try:
+        seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--seeds must be comma-separated integers: {args.seeds!r}") from None
     for seed in seeds:      # a bad seed stops the run before any training
         dataclasses.replace(train_cfg, seed=seed)
 
@@ -360,13 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--fused", action="store_true", help="also score the fused prediction")
     ev.set_defaults(func=_cmd_eval)
 
-    ab = sub.add_parser("ablate", help="train every component-toggle row")
+    # no abbreviations: "--seed 3" must not pass for "--seeds 3"
+    ab = sub.add_parser("ablate", help="train every component-toggle row", allow_abbrev=False)
     ab.add_argument("--data", required=True, help="corpus directory with manifest.json")
     ab.add_argument("--out", required=True, help="output CSV path")
     ab.add_argument("--config", help="INI settings file")
-    ab.add_argument("--seeds", help="comma-separated training seeds (default 0,1,2)")
-    ab.add_argument("--seed", type=int,
-                    help="base seed; used as (seed, seed+1, seed+2) unless --seeds is given")
+    ab.add_argument("--seeds", default="0,1,2",
+                    help="comma-separated training seeds (default 0,1,2)")
     ab.set_defaults(func=_cmd_ablate)
     return parser
 

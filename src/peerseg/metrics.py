@@ -1,4 +1,4 @@
-"""Confusion-matrix segmentation metrics, global and batchwise protocols."""
+"""Confusion-matrix segmentation metrics and late fusion of the two views."""
 
 from __future__ import annotations
 
@@ -39,24 +39,6 @@ class ConfusionMatrix:
         if not seen.any():
             return float("nan")
         return float(iou[seen].mean())
-
-
-def miou_global(pairs, num_classes: int) -> float:
-    """One confusion matrix accumulated over all (truth, prediction) pairs."""
-    cm = ConfusionMatrix(num_classes)
-    for truth, prediction in pairs:
-        cm.update(truth, prediction)
-    return cm.miou()
-
-
-def miou_batchwise(pairs, num_classes: int) -> float:
-    """Mean of per-scan mIoU values (each scan scored on its own matrix)."""
-    scores = []
-    for truth, prediction in pairs:
-        cm = ConfusionMatrix(num_classes)
-        cm.update(truth, prediction)
-        scores.append(cm.miou())
-    return float(np.mean(scores)) if scores else float("nan")
 
 
 def fuse_predictions(range_probs: np.ndarray, voxel_probs: np.ndarray) -> np.ndarray:

@@ -175,12 +175,6 @@ def forward_segment(state: ModelState, grid) -> Tensor:
     return segment_logits(view, trunk_hidden(view, grid.cells))
 
 
-def forward_embed(state: ModelState, grid) -> Tensor:
-    """Unit-norm embeddings for every covered cell of the grid."""
-    view = _view_of(state, grid)
-    return project_embed(view, trunk_hidden(view, grid.cells))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Plain numpy softmax over the trailing axis (for detached uses)."""
     logits = np.asarray(logits, dtype=np.float64)

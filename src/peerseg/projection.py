@@ -17,7 +17,11 @@ Cylindrical voxel grid.  rho = sqrt(x^2 + y^2) is binned uniformly over
 [0, radial_max] into H rings (overflow clamps into the outermost ring),
 azimuth over [-pi, pi) into W sectors, z over [z_min, z_max] into L layers
 (clamped at both ends).  A voxel's channels are the mean over its member
-points of (rho, x, y, z, point features).
+points of (rho, x, y, z, point features).  Voxelization is two steps:
+binning gives every point a flat voxel id, and grouping builds the table
+from those ids and the points' channel rows.  A point's voxel depends only
+on its position, so points whose ids are already known (those of a mixed
+scan) are grouped without binning again.
 
 Each view is stored as a cell table built from the one sort its projection
 does: the channel rows of the covered cells only, in row-major cell order,
@@ -211,43 +215,50 @@ def _cell_means(cell_of_point: np.ndarray, num_cells: int, values: np.ndarray) -
     return sums / counts[:, None]
 
 
-def _voxel_bins(positions: np.ndarray, sensor: SensorSpec):
-    h_dim, w_dim, l_dim = sensor.voxel_dims
+def voxel_point_rows(positions: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Each point's voxel channels (rho, x, y, z, point features) in float64."""
     p = positions.astype(np.float64)
-    rho = np.hypot(p[:, 0], p[:, 1])
-    phi = np.arctan2(p[:, 1], p[:, 0])
+    return np.concatenate([np.hypot(p[:, 0], p[:, 1])[:, None], p,
+                           features.astype(np.float64)], axis=1)
+
+
+def _voxel_ids(point_rows: np.ndarray, sensor: SensorSpec) -> np.ndarray:
+    """Flat voxel id of every point, binned from its channel rows."""
+    h_dim, w_dim, l_dim = sensor.voxel_dims
+    rho, x, y, z = (point_rows[:, i] for i in range(4))
+    phi = np.arctan2(y, x)
     phi = np.where(phi >= math.pi, phi - 2.0 * math.pi, phi)  # keep [-pi, pi)
     h = np.clip(np.floor(rho / sensor.radial_max * h_dim).astype(np.int64), 0, h_dim - 1)
     w = np.clip(np.floor((phi + math.pi) / (2.0 * math.pi) * w_dim).astype(np.int64), 0, w_dim - 1)
-    z01 = (p[:, 2] - sensor.z_min) / (sensor.z_max - sensor.z_min)
+    z01 = (z - sensor.z_min) / (sensor.z_max - sensor.z_min)
     l = np.clip(np.floor(z01 * l_dim).astype(np.int64), 0, l_dim - 1)
-    return rho, h, w, l
+    return (h * w_dim + w) * l_dim + l
 
 
-def project_to_voxel(scan: PointScan, sensor: SensorSpec) -> VoxelGrid:
-    """Cylindrical voxelization; each occupied voxel averages its members."""
-    h_dim, w_dim, l_dim = sensor.voxel_dims
-    n = scan.num_points
-    rho, h, w, l = _voxel_bins(scan.positions, sensor)
-    feats = np.concatenate(
-        [rho[:, None], scan.positions.astype(np.float64), scan.features.astype(np.float64)],
-        axis=1)
-
-    flat = (h * w_dim + w) * l_dim + l
-    member_order = np.argsort(flat, kind="stable").astype(np.int64)
-    sorted_flat = flat[member_order]
+def group_voxels(shape, flat_ids: np.ndarray, point_rows: np.ndarray) -> VoxelGrid:
+    """The voxel table of points with known flat voxel ids in a grid of
+    ``shape``: each occupied voxel averages its members' channel rows."""
+    n = flat_ids.shape[0]
+    member_order = np.argsort(flat_ids, kind="stable").astype(np.int64)
+    sorted_flat = flat_ids[member_order]
     first = np.ones(n, dtype=bool)
     first[1:] = sorted_flat[1:] != sorted_flat[:-1]
     starts = np.flatnonzero(first)
     cell_of_point = _rows_of_sorted(member_order, first)
     return VoxelGrid(
-        shape=(h_dim, w_dim, l_dim),
-        cells=_cell_means(cell_of_point, starts.shape[0], feats),
+        shape=tuple(shape),
+        cells=_cell_means(cell_of_point, starts.shape[0], point_rows),
         cell_ids=sorted_flat[starts],
         cell_of_point=cell_of_point,
         member_order=member_order,
         member_starts=np.append(starts, n).astype(np.int64),
     )
+
+
+def project_to_voxel(scan: PointScan, sensor: SensorSpec) -> VoxelGrid:
+    """Cylindrical voxelization; each occupied voxel averages its members."""
+    rows = voxel_point_rows(scan.positions, scan.features)
+    return group_voxels(sensor.voxel_dims, _voxel_ids(rows, sensor), rows)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,19 @@ Per iteration, in order: forward both views on the labelled batch and (when
 peer supervision is on) a clean forward on the unlabelled batch; swap the
 detached soft predictions across views into hard pseudo labels with
 confidences; build the augmented unlabelled inputs and targets (column
-CutMix for the range view, inclination-band mixing re-voxelized for the
-voxel view); assemble the loss (per view, labelled term + pseudo term,
-each cross entropy + Lovasz, plus the prototype contrastive term); update
-the per-class mixture bank from detached embeddings (EM then EMA shadow);
+CutMix for the range view, inclination-band mixing for the voxel view);
+assemble the loss (per view, labelled term + pseudo term, each cross
+entropy + Lovasz, plus the prototype contrastive term); update the
+per-class mixture bank from detached embeddings (EM then EMA shadow);
 backward; one joint SGD (or AdamW) step with polynomial learning-rate
 decay for both views.  The two views are peers, so each step is written
 once, as a loop over VIEWS: a view's grids, targets, pseudo labels,
 parameters and mixing augmentation sit in parallel pairs indexed by view.
+
+Every scan is projected once, before the first iteration.  A mixer picks
+rows of the batch's stacked cells or points, and the mixed inputs and
+targets are gathers at those rows; the voxel view regroups the picked
+points' cached voxel ids, so no scan is built or binned during training.
 
 Randomness is split into per-purpose child streams of the config seed
 (model init, batch order, anchor mining, prototype draws, mixture
@@ -31,11 +36,11 @@ from . import gmm as gmm_mod
 from . import losses as losses_mod
 from . import model as model_mod
 from .autodiff import Tensor
-from .augment import cutmix_range, lasermix_voxel, make_mix_plan
+from .augment import cutmix_range, lasermix_voxel
 from .errors import ConfigError, NumericError
 from .metrics import ConfusionMatrix, fuse_predictions
-from .projection import (cells_to_points, point_labels_to_grid, project_to_range,
-                         project_to_voxel)
+from .projection import (cells_to_points, group_voxels, point_labels_to_grid,
+                         project_to_range, project_to_voxel, voxel_point_rows)
 from .scans import PointScan, SensorSpec
 
 METRIC_KEYS = ("epoch", "lr", "loss_total", "loss_range_labelled", "loss_range_pseudo",
@@ -101,23 +106,29 @@ def _prepare(scans, sensor, with_targets=True):
     return [_bundle(scan, sensor, with_targets) for scan in scans]
 
 
-def _cutmix_cells(batch, labels, plan, sensor, y_count):
+def _cutmix_cells(batch, labels, sensor, y_count):
     """Column CutMix of the range images: per-scan mixed cells and targets."""
-    cells, _, targets, _ = cutmix_range([b.grids[0] for b in batch], labels, None, plan)
-    return cells, targets
+    rows = cutmix_range([b.grids[0] for b in batch])
+    cells = np.concatenate([b.grids[0].cells for b in batch])
+    labels = np.concatenate(labels)
+    return [cells[r] for r in rows], [labels[r] for r in rows]
 
 
-def _lasermix_cells(batch, labels, plan, sensor, y_count):
-    """Each scan band-mixed with the next one in point space, then
-    re-voxelized: per-scan mixed cells and majority-vote targets."""
+def _lasermix_cells(batch, labels, sensor, y_count):
+    """Each scan band-mixed with the next one in point space: per-scan mixed
+    cells, regrouped from the pair's cached voxel ids, and majority-vote targets."""
+    num_bands = max(2, sensor.num_beams // 2)
+    grids = [b.grids[1] for b in batch]
+    # per scan, in point order: cached voxel ids, voxel channel rows, pseudo labels
+    points = [(g.cell_ids[g.cell_of_point], voxel_point_rows(b.scan.positions, b.scan.features),
+               cells_to_points(g, lab)) for b, g, lab in zip(batch, grids, labels)]
     cells, targets = [], []
     for i, a in enumerate(batch):
         j = (i + 1) % len(batch)
-        b = batch[j]
-        mixed, point_labels = lasermix_voxel(
-            a.scan, b.scan, cells_to_points(a.grids[1], labels[i]),
-            cells_to_points(b.grids[1], labels[j]), sensor, plan)
-        vox = project_to_voxel(mixed, sensor)
+        rows = lasermix_voxel(a.scan, batch[j].scan, sensor, num_bands)
+        ids, point_rows, point_labels = (np.concatenate(f)[rows]
+                                         for f in zip(points[i], points[j]))
+        vox = group_voxels(grids[i].shape, ids, point_rows)
         cells.append(vox.cells)
         targets.append(point_labels_to_grid(vox, point_labels, y_count).cell_labels)
     return cells, targets
@@ -137,6 +148,10 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     """
     if not labelled:
         raise ConfigError("need at least one labelled scan")
+    mixing = bool(unlabelled) and config.use_cross_supervision and config.use_augmentation
+    if mixing and sensor.image_width < config.batch_size:
+        raise ConfigError(f"column CutMix needs image_width >= batch_size, got image_width "
+                          f"{sensor.image_width} and batch_size {config.batch_size}")
     y_count = labelled[0].num_classes
     c_feat = labelled[0].num_features
 
@@ -225,13 +240,10 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
         ramp = 1.0
         if config.pseudo_ramp_epochs > 0:
             ramp = min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
-        if config.use_augmentation:
-            plan = make_mix_plan(len(batch_unlab), sensor.image_width,
-                                 max(2, sensor.num_beams // 2))
         for k in range(2):
             if config.use_augmentation:
                 # pseudo terms on mixed inputs with mixed targets
-                cells, targets = MIXERS[k](batch_unlab, pseudo_cells[k], plan, sensor, y_count)
+                cells, targets = MIXERS[k](batch_unlab, pseudo_cells[k], sensor, y_count)
                 _, logits, slices = forward(k, cells)
                 loss = losses_mod.set_supervised_loss(logits, np.concatenate(targets), slices)
             else:

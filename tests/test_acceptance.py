@@ -16,13 +16,11 @@ import numpy as np
 import pytest
 
 from peerseg import (SceneConfig, SensorSpec, TrainConfig, evaluate,
-                     generate_dataset, miou_batchwise, miou_global,
-                     split_dataset, train)
+                     generate_dataset, split_dataset, train)
 from peerseg import autodiff as ad
 from peerseg import model as model_mod
 from peerseg.autodiff import Tensor
-from peerseg.augment import (cutmix_range, inclination_bands, lasermix_voxel,
-                             make_mix_plan)
+from peerseg.augment import cutmix_range, inclination_bands, lasermix_voxel
 from peerseg.gmm import (AnchorSet, ClassSamples, contrastive_loss, em_update,
                          mine_anchors, new_bank, sample_prototypes,
                          weighted_log_likelihood)
@@ -32,6 +30,7 @@ from peerseg.projection import (RangeImage, cells_to_points, point_labels_to_gri
                                 project_to_range, project_to_voxel)
 from peerseg.scans import PointScan
 from peerseg.trainer import ABLATION_ROWS, TEMPERATURE
+from scoring import miou_batchwise, miou_global
 
 
 def report(num, name, ok, detail):
@@ -143,6 +142,10 @@ def _trunk_margin(view, grids):
     return float(np.abs(x @ view.w1.data + view.b1.data).min())
 
 
+def _embed(view, grid):
+    return model_mod.project_embed(view, model_mod.trunk_hidden(view, grid.cells))
+
+
 def _embed_prenorm_min(view, grid):
     h = model_mod.trunk_hidden(view, grid.cells)
     h = ad.leaky_relu(ad.add(ad.matmul(h, view.p1w), view.p1b), model_mod.LEAKY_SLOPE)
@@ -197,7 +200,7 @@ def _build_infonce(seed):
     s1, s2 = (int(x) for x in rng.integers(1 << 31, size=2))
 
     def f():
-        z = model_mod.forward_embed(state, rimg)
+        z = _embed(state.range_view, rimg)
         anchors = mine_anchors(z, preds, tgts, 10, np.random.default_rng(s1))
         return contrastive_loss(anchors, bank, 3, 0.2, np.random.default_rng(s2))
 
@@ -235,7 +238,7 @@ def _build_combined(seed, ramp=0.7):
     def f():
         loss_lab = [supervised(g, t) for g, t in zip(grids_l, t_l)]
         loss_pse = [ad.mul(supervised(g, t), ramp) for g, t in zip(grids_u, t_u)]
-        z = model_mod.forward_embed(state, grids_u[0])
+        z = _embed(state.range_view, grids_u[0])
         anchors = mine_anchors(z, preds, t_u[0], 8, np.random.default_rng(s1))
         ctr = contrastive_loss(anchors, bank, 2, TEMPERATURE, np.random.default_rng(s2))
         return ad.add(ad.add(ad.add(*loss_lab), ad.add(*loss_pse)), ctr)
@@ -419,10 +422,21 @@ def test_contrastive_loss_matches_double_sum():
 # 7. mixing invariants
 # ---------------------------------------------------------------------------
 
-def _lasermix_violations(scan_a, scan_b, la, lb, mixed, ml, sensor, plan):
+def _mix_points(scan_a, scan_b, la, lb, sensor, num_bands):
+    """The mixed scan and labels gathered at lasermix_voxel's rows of the
+    pair's stacked points."""
+    rows = lasermix_voxel(scan_a, scan_b, sensor, num_bands)
+    mixed = PointScan(np.concatenate([scan_a.positions, scan_b.positions])[rows],
+                      np.concatenate([scan_a.features, scan_b.features])[rows],
+                      np.concatenate([scan_a.labels, scan_b.labels])[rows],
+                      scan_a.num_classes)
+    return mixed, np.concatenate([la, lb])[rows]
+
+
+def _lasermix_violations(scan_a, scan_b, la, lb, mixed, ml, sensor, num_bands):
     bad = 0
-    band_a = inclination_bands(scan_a, sensor, plan.num_bands)
-    band_b = inclination_bands(scan_b, sensor, plan.num_bands)
+    band_a = inclination_bands(scan_a, sensor, num_bands)
+    band_b = inclination_bands(scan_b, sensor, num_bands)
     expect = int((band_a % 2 == 0).sum()) + int((band_b % 2 == 1).sum())
     if mixed.num_points != expect:
         bad += 1
@@ -431,7 +445,7 @@ def _lasermix_violations(scan_a, scan_b, la, lb, mixed, ml, sensor, plan):
         source[pos.tobytes()] = ("a", int(lab))
     for pos, lab in zip(scan_b.positions, lb):
         source[pos.tobytes()] = ("b", int(lab))
-    mixed_band = inclination_bands(mixed, sensor, plan.num_bands)
+    mixed_band = inclination_bands(mixed, sensor, num_bands)
     seen = set()
     for i in range(mixed.num_points):
         key = mixed.positions[i].tobytes()
@@ -458,38 +472,47 @@ def _selfmix_violations(scan, labels, mixed, ml):
     return 0 if same else 1
 
 
-def _cutmix_dense(images, valid, labels, conf, plan):
+def _strips(batch, width):
+    """Column strips (start, stop): batch strips of width // batch, the last
+    one taking the remainder."""
+    w = width // batch
+    return [(j * w, (j + 1) * w if j < batch - 1 else width) for j in range(batch)]
+
+
+def _cutmix_dense(images, valid, labels, conf):
     """cutmix_range on the cell tables of a dense batch (each covered pixel its
-    own point), read back as dense grids that are zero off the mixed coverage.
+    own point); the mixed cells, labels and confidences are gathers at its
+    rows, read back as dense grids that are zero off the mixed coverage.
     Returns (images, valid, labels, conf, whether every output is row-major)."""
     def table(shape, cells, ids):
         return RangeImage(shape, cells, ids, np.arange(ids.shape[0]), np.arange(ids.shape[0]))
 
     views = [table(ok.shape, img[ok], np.flatnonzero(ok)) for img, ok in zip(images, valid)]
-    cells, ids, mixed_labels, mixed_conf = cutmix_range(
-        views, [lab[ok] for lab, ok in zip(labels, valid)],
-        [c[ok] for c, ok in zip(conf, valid)], plan)
-    out = [table(valid.shape[1:], c, i) for c, i in zip(cells, ids)]
+    rows = cutmix_range(views)
+    cells, ids = (np.concatenate([getattr(v, f) for v in views]) for f in ("cells", "cell_ids"))
+    labels_at, conf_at = (np.concatenate([f[ok] for f, ok in zip(field, valid)])
+                          for field in (labels, conf))
+    out = [table(valid.shape[1:], cells[r], ids[r]) for r in rows]
     return (np.stack([v.grid for v in out]), np.stack([v.valid for v in out]),
-            np.stack([v.scatter(lab) for v, lab in zip(out, mixed_labels)]),
-            np.stack([v.scatter(c) for v, c in zip(out, mixed_conf)]),
-            all((np.diff(i) > 0).all() for i in ids))
+            np.stack([v.scatter(labels_at[r]) for v, r in zip(out, rows)]),
+            np.stack([v.scatter(conf_at[r]) for v, r in zip(out, rows)]),
+            all((np.diff(ids[r]) > 0).all() for r in rows))
 
 
 def _cutmix_violations(rng, batch, height, width):
-    plan = make_mix_plan(batch, width, 4)
     images = rng.normal(size=(batch, height, width, 3))
     valid = rng.random((batch, height, width)) < 0.8
     labels = rng.integers(0, 1 << 30, (batch, height, width))
     conf = rng.random((batch, height, width))
     # a cell table keeps nothing of an uncovered pixel
     images, labels, conf = images * valid[..., None], labels * valid, conf * valid
-    oi, ov, ol, oc, row_major = _cutmix_dense(images, valid, labels, conf, plan)
+    oi, ov, ol, oc, row_major = _cutmix_dense(images, valid, labels, conf)
     bad = 0 if row_major else 1
-    if sum(e - s for s, e in plan.intervals) != width:
+    strips = _strips(batch, width)
+    if sum(e - s for s, e in strips) != width:
         bad += 1
     for i in range(batch):
-        for j, (s, e) in enumerate(plan.intervals):
+        for j, (s, e) in enumerate(strips):
             src = (i + j) % batch
             whole = (np.array_equal(oi[i, :, s:e], images[src, :, s:e])
                      and np.array_equal(ov[i, :, s:e], valid[src, :, s:e])
@@ -500,14 +523,13 @@ def _cutmix_violations(rng, batch, height, width):
 
 
 def _cutmix_identity_violations(rng, batch, height, width):
-    plan = make_mix_plan(batch, width, 4)
     one = rng.normal(size=(1, height, width, 2))
     images = np.repeat(one, batch, axis=0)
     valid = np.repeat(rng.random((1, height, width)) < 0.8, batch, axis=0)
     labels = np.repeat(rng.integers(0, 9, (1, height, width)), batch, axis=0)
     conf = np.repeat(rng.random((1, height, width)), batch, axis=0)
     images, labels, conf = images * valid[..., None], labels * valid, conf * valid
-    oi, ov, ol, oc, row_major = _cutmix_dense(images, valid, labels, conf, plan)
+    oi, ov, ol, oc, row_major = _cutmix_dense(images, valid, labels, conf)
     same = (row_major and np.array_equal(oi, images) and np.array_equal(ov, valid)
             and np.array_equal(ol, labels) and np.array_equal(oc, conf))
     return 0 if same else 1
@@ -521,14 +543,13 @@ def test_mixing_invariants_hold():
     for _ in range(250):
         scan_a = random_scan(rng, 100, 4)
         scan_b = random_scan(rng, 100, 4)
-        plan = make_mix_plan(int(rng.integers(2, 5)), sensor.image_width,
-                             int(rng.integers(2, 9)))
+        num_bands = int(rng.integers(2, 9))
         la = np.arange(100)
         lb = 1000 + np.arange(100)
-        mixed, ml = lasermix_voxel(scan_a, scan_b, la, lb, sensor, plan)
+        mixed, ml = _mix_points(scan_a, scan_b, la, lb, sensor, num_bands)
         violations += _lasermix_violations(scan_a, scan_b, la, lb, mixed, ml,
-                                           sensor, plan)
-        smixed, sml = lasermix_voxel(scan_a, scan_a, la, la, sensor, plan)
+                                           sensor, num_bands)
+        smixed, sml = _mix_points(scan_a, scan_a, la, la, sensor, num_bands)
         violations += _selfmix_violations(scan_a, la, smixed, sml)
         applications += 2
     for _ in range(250):

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from peerseg import (MixPlan, PointScan, RangeImage, SensorSpec, cutmix_range,
-                     inclination_bands, lasermix_voxel, make_mix_plan)
+from peerseg import (PointScan, RangeImage, SensorSpec, cutmix_range, inclination_bands,
+                     lasermix_voxel, point_labels_to_grid, project_to_voxel)
+from peerseg.projection import group_voxels, voxel_point_rows
 
 
 def random_scan(rng, n=80, num_classes=4):
@@ -26,28 +29,6 @@ def point_rows(scan, labels):
 
 
 # ---------------------------------------------------------------------------
-# plans
-# ---------------------------------------------------------------------------
-
-def test_plan_strips_tile_width():
-    plan = make_mix_plan(batch_size=3, image_width=10, num_bands=4)
-    assert plan.intervals == ((0, 3), (3, 6), (6, 10))  # last strip absorbs remainder
-    plan = make_mix_plan(batch_size=2, image_width=8, num_bands=2)
-    assert plan.intervals == ((0, 4), (4, 8))
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        make_mix_plan(0, 8, 2)
-    with pytest.raises(ValueError):
-        make_mix_plan(4, 3, 2)
-    with pytest.raises(ValueError):
-        make_mix_plan(2, 8, 0)
-    with pytest.raises(ValueError):
-        MixPlan(batch_size=2, intervals=((0, 3), (4, 8)), num_bands=2)
-
-
-# ---------------------------------------------------------------------------
 # range-view CutMix
 # ---------------------------------------------------------------------------
 
@@ -60,39 +41,47 @@ def batch_grids(rng, b, u=4, v=8, c=2):
     return images * valid[..., None], valid, labels * valid, conf * valid
 
 
-def cell_tables(images, valid, labels, conf):
-    """One RangeImage per dense image (each covered pixel its own point) and
-    its labels and confidences at the covered pixels."""
-    views = []
-    for img, ok in zip(images, valid):
-        ids = np.flatnonzero(ok)
-        views.append(RangeImage(shape=ok.shape, cells=img[ok], cell_ids=ids,
-                                cell_of_point=np.arange(ids.shape[0]),
-                                winners=np.arange(ids.shape[0])))
-    return (views, [lab[ok] for lab, ok in zip(labels, valid)],
-            None if conf is None else [c[ok] for c, ok in zip(conf, valid)])
+def cell_table(shape, cells, ids):
+    """A RangeImage whose every covered pixel is its own point."""
+    return RangeImage(shape=shape, cells=cells, cell_ids=ids,
+                      cell_of_point=np.arange(ids.shape[0]), winners=np.arange(ids.shape[0]))
 
 
-def mix_dense(images, valid, labels, conf, plan):
-    """cutmix_range on the batch's cell tables, read back as dense grids."""
-    views, labs, confs = cell_tables(images, valid, labels, conf)
-    cells, ids, mixed_labels, mixed_conf = cutmix_range(views, labs, confs, plan)
-    for i in ids:
-        assert (np.diff(i) > 0).all()  # row-major order
-    view = [RangeImage(valid.shape[1:], c, i, np.arange(i.shape[0]), np.arange(i.shape[0]))
-            for c, i in zip(cells, ids)]
-    out = [np.stack([v.grid for v in view]), np.stack([v.valid for v in view]),
-           np.stack([v.scatter(lab) for v, lab in zip(view, mixed_labels)])]
-    out.append(None if conf is None else
-               np.stack([v.scatter(c) for v, c in zip(view, mixed_conf)]))
-    return tuple(out)
+def mix_dense(images, valid, labels, conf):
+    """cutmix_range on the batch's cell tables; the mixed cells, labels and
+    confidences are gathers at its rows, read back as dense grids."""
+    views = [cell_table(ok.shape, img[ok], np.flatnonzero(ok))
+             for img, ok in zip(images, valid)]
+    rows = cutmix_range(views)
+    stacked_ids = np.concatenate([v.cell_ids for v in views])
+    stacked_cells = np.concatenate([v.cells for v in views])
+    out = []
+    for r in rows:
+        assert r.dtype == np.int64 and (np.diff(stacked_ids[r]) > 0).all()  # row-major
+        out.append(cell_table(valid.shape[1:], stacked_cells[r], stacked_ids[r]))
+    result = [np.stack([v.grid for v in out]), np.stack([v.valid for v in out])]
+    for field in (labels, conf):
+        stacked = None if field is None else np.concatenate(
+            [f[ok] for f, ok in zip(field, valid)])
+        result.append(None if field is None else
+                      np.stack([v.scatter(stacked[r]) for v, r in zip(out, rows)]))
+    return tuple(result)
+
+
+def test_cutmix_strips_tile_width():
+    # the last strip absorbs the remainder: widths 3, 3, 4 for 3 images of 10 columns
+    valid = np.ones((3, 2, 10), dtype=bool)
+    images = np.arange(3, dtype=float)[:, None, None, None] * valid[..., None]
+    mi, _, _, _ = mix_dense(images, valid, None, None)
+    strip = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2])
+    for i in range(3):
+        assert (mi[i, :, :, 0] == (i + strip) % 3).all()
 
 
 def test_cutmix_two_element_oracle():
     rng = np.random.default_rng(0)
     images, valid, labels, conf = batch_grids(rng, 2)
-    plan = make_mix_plan(2, 8, 2)
-    mi, mv, ml, mc = mix_dense(images, valid, labels, conf, plan)
+    mi, mv, ml, mc = mix_dense(images, valid, labels, conf)
     # element 0: columns 0..3 native, 4..7 from element 1
     assert np.array_equal(mi[0, :, :4], images[0, :, :4])
     assert np.array_equal(mi[0, :, 4:], images[1, :, 4:])
@@ -105,8 +94,7 @@ def test_cutmix_two_element_oracle():
 def test_cutmix_batch_of_one_is_identity():
     rng = np.random.default_rng(1)
     images, valid, labels, conf = batch_grids(rng, 1)
-    plan = make_mix_plan(1, 8, 2)
-    mi, mv, ml, mc = mix_dense(images, valid, labels, conf, plan)
+    mi, mv, ml, mc = mix_dense(images, valid, labels, conf)
     assert np.array_equal(mi, images)
     assert np.array_equal(mv, valid)
     assert np.array_equal(ml, labels)
@@ -120,14 +108,12 @@ def test_cutmix_self_mix_identity():
     valid = np.repeat(valid, 3, axis=0)
     labels = np.repeat(labels, 3, axis=0)
     conf = np.repeat(conf, 3, axis=0)
-    plan = make_mix_plan(3, 8, 2)
-    mi, mv, ml, mc = mix_dense(images, valid, labels, conf, plan)
+    mi, mv, ml, mc = mix_dense(images, valid, labels, conf)
     assert np.array_equal(mi, images) and np.array_equal(ml, labels)
     assert np.array_equal(mv, valid) and np.array_equal(mc, conf)
 
 
 def test_cutmix_label_source_consistency_sentinels():
-    rng = np.random.default_rng(3)
     b, u, v = 4, 3, 9
     images = np.zeros((b, u, v, 1))
     for i in range(b):
@@ -136,42 +122,55 @@ def test_cutmix_label_source_consistency_sentinels():
     for i in range(b):
         labels[i] = i  # sentinel-distinct labels per source
     valid = np.ones((b, u, v), dtype=bool)
-    plan = make_mix_plan(b, v, 2)
-    mi, _, ml, _ = mix_dense(images, valid, labels, None, plan)
+    mi, _, ml, _ = mix_dense(images, valid, labels, None)
     # wherever the content came from scan s, the label must also be s
     assert np.array_equal(mi[..., 0].astype(int), ml)
+    strips = ((0, 2), (2, 4), (4, 6), (6, 9))
     for i in range(b):
-        for j, (start, stop) in enumerate(plan.intervals):
+        for j, (start, stop) in enumerate(strips):
             assert (ml[i, :, start:stop] == (i + j) % b).all()
 
 
 def test_cutmix_conserves_valid_pixels():
     rng = np.random.default_rng(4)
     images, valid, labels, conf = batch_grids(rng, 3, v=10)
-    plan = make_mix_plan(3, 10, 2)
-    _, mv, _, _ = mix_dense(images, valid, labels, conf, plan)
+    _, mv, _, _ = mix_dense(images, valid, labels, conf)
+    strips = ((0, 3), (3, 6), (6, 10))
     for i in range(3):
-        want = sum(valid[(i + j) % 3, :, a:b].sum()
-                   for j, (a, b) in enumerate(plan.intervals))
+        want = sum(valid[(i + j) % 3, :, a:b].sum() for j, (a, b) in enumerate(strips))
         assert mv[i].sum() == want
     # the batch as a whole keeps exactly the source validity mass
     assert mv.sum() == valid.sum()
 
 
-def test_cutmix_rejects_mismatched_plan():
+def test_cutmix_validation():
     rng = np.random.default_rng(5)
-    views, labels, conf = cell_tables(*batch_grids(rng, 2))
+    images, valid, _, _ = batch_grids(rng, 4, v=3)
+    views = [cell_table(ok.shape, img[ok], np.flatnonzero(ok))
+             for img, ok in zip(images, valid)]
+    with pytest.raises(ValueError, match="width"):
+        cutmix_range(views)                   # 3 columns for 4 images
+    other = cell_table((4, 5), views[0].cells, views[0].cell_ids)
+    with pytest.raises(ValueError, match="shape"):
+        cutmix_range(views[:2] + [other])
     with pytest.raises(ValueError):
-        cutmix_range(views, labels, conf, make_mix_plan(3, 8, 2))
-    with pytest.raises(ValueError):
-        cutmix_range(views, labels, conf, make_mix_plan(2, 12, 2))
-    with pytest.raises(ValueError):
-        cutmix_range(views, [lab[:-1] for lab in labels], conf, make_mix_plan(2, 8, 2))
+        cutmix_range([])
 
 
 # ---------------------------------------------------------------------------
 # voxel-view LaserMix
 # ---------------------------------------------------------------------------
+
+def mix_points(a, b, la, lb, sensor, num_bands):
+    """lasermix_voxel's rows gathered from the pair's stacked points: the
+    mixed PointScan and its mixed labels."""
+    rows = lasermix_voxel(a, b, sensor, num_bands)
+    assert rows.dtype == np.int64
+    mixed = PointScan(np.concatenate([a.positions, b.positions])[rows],
+                      np.concatenate([a.features, b.features])[rows],
+                      np.concatenate([a.labels, b.labels])[rows], a.num_classes)
+    return mixed, np.concatenate([la, lb])[rows]
+
 
 def test_inclination_band_arithmetic():
     sensor = SensorSpec()  # fov spans [-30, 10] degrees
@@ -188,13 +187,21 @@ def test_inclination_band_arithmetic():
     assert inclination_bands(scan_at(-60.0), sensor, 4)[0] == 0   # below fov: clamp
 
 
+def test_lasermix_rows_are_even_bands_of_a_then_odd_bands_of_b():
+    rng = np.random.default_rng(11)
+    a, b = random_scan(rng, n=50), random_scan(rng, n=40)
+    sensor = SensorSpec()
+    rows = lasermix_voxel(a, b, sensor, 5)
+    want_a = np.flatnonzero(inclination_bands(a, sensor, 5) % 2 == 0)
+    want_b = np.flatnonzero(inclination_bands(b, sensor, 5) % 2 == 1)
+    assert np.array_equal(rows, np.concatenate([want_a, 50 + want_b]))
+
+
 def test_lasermix_self_mix_identity():
     rng = np.random.default_rng(6)
     scan = random_scan(rng)
     labels = scan.labels.astype(np.int64)
-    plan = make_mix_plan(2, 96, 5)
-    mixed, mixed_labels = lasermix_voxel(scan, scan, labels, labels,
-                                         SensorSpec(), plan)
+    mixed, mixed_labels = mix_points(scan, scan, labels, labels, SensorSpec(), 5)
     assert mixed.num_points == scan.num_points
     assert np.array_equal(point_rows(mixed, mixed_labels),
                           point_rows(scan, labels))
@@ -204,11 +211,10 @@ def test_lasermix_label_band_parity():
     rng = np.random.default_rng(7)
     a, b = random_scan(rng), random_scan(rng)
     sensor = SensorSpec()
-    plan = make_mix_plan(2, 96, 6)
     la = np.full(a.num_points, 7, dtype=np.int64)
     lb = np.full(b.num_points, 3, dtype=np.int64)
-    mixed, ml = lasermix_voxel(a, b, la, lb, sensor, plan)
-    bands = inclination_bands(mixed, sensor, plan.num_bands)
+    mixed, ml = mix_points(a, b, la, lb, sensor, 6)
+    bands = inclination_bands(mixed, sensor, 6)
     assert ((ml == 7) == (bands % 2 == 0)).all()
     assert ((ml == 3) == (bands % 2 == 1)).all()
 
@@ -217,27 +223,22 @@ def test_lasermix_counting_oracle():
     rng = np.random.default_rng(8)
     a, b = random_scan(rng, n=120), random_scan(rng, n=90)
     sensor = SensorSpec()
-    plan = make_mix_plan(2, 96, 3)
-    mixed, ml = lasermix_voxel(a, b, a.labels.astype(int), b.labels.astype(int),
-                               sensor, plan)
+    rows = lasermix_voxel(a, b, sensor, 3)
     n_a = int((inclination_bands(a, sensor, 3) % 2 == 0).sum())
     n_b = int((inclination_bands(b, sensor, 3) % 2 == 1).sum())
-    assert mixed.num_points == n_a + n_b == ml.shape[0]
+    assert rows.shape[0] == n_a + n_b
 
 
 def test_lasermix_pair_conserves_points():
     rng = np.random.default_rng(9)
     a, b = random_scan(rng), random_scan(rng)
     sensor = SensorSpec()
-    plan = make_mix_plan(2, 96, 4)
-    ab, lab = lasermix_voxel(a, b, a.labels.astype(int), b.labels.astype(int),
-                             sensor, plan)
-    ba, lba = lasermix_voxel(b, a, b.labels.astype(int), a.labels.astype(int),
-                             sensor, plan)
+    la, lb = a.labels.astype(int), b.labels.astype(int)
+    ab, lab = mix_points(a, b, la, lb, sensor, 4)
+    ba, lba = mix_points(b, a, lb, la, sensor, 4)
     # the two mixes together hold every source point exactly once
     got = np.concatenate([point_rows(ab, lab), point_rows(ba, lba)])
-    want = np.concatenate([point_rows(a, a.labels.astype(int)),
-                           point_rows(b, b.labels.astype(int))])
+    want = np.concatenate([point_rows(a, la), point_rows(b, lb)])
     assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
 
 
@@ -248,10 +249,9 @@ def test_lasermix_randomized_invariants():
         a = random_scan(rng, n=int(rng.integers(10, 80)))
         b = random_scan(rng, n=int(rng.integers(10, 80)))
         bands = int(rng.integers(1, 9))
-        plan = make_mix_plan(2, 96, bands)
         la = np.zeros(a.num_points, dtype=np.int64)
         lb = np.ones(b.num_points, dtype=np.int64)
-        mixed, ml = lasermix_voxel(a, b, la, lb, sensor, plan)
+        mixed, ml = mix_points(a, b, la, lb, sensor, bands)
         band_ix = inclination_bands(mixed, sensor, bands)
         assert ((ml == 0) == (band_ix % 2 == 0)).all()
         n_a = int((inclination_bands(a, sensor, bands) % 2 == 0).sum())
@@ -262,10 +262,45 @@ def test_lasermix_randomized_invariants():
 def test_lasermix_validation():
     rng = np.random.default_rng(10)
     a, b = random_scan(rng), random_scan(rng)
-    plan = make_mix_plan(2, 96, 4)
-    with pytest.raises(ValueError):
-        lasermix_voxel(a, b, np.zeros(3), b.labels, SensorSpec(), plan)
     wide = PointScan(b.positions, np.zeros((b.num_points, 2), np.float32),
                      b.labels, b.num_classes)
     with pytest.raises(ValueError):
-        lasermix_voxel(a, wide, a.labels, wide.labels, SensorSpec(), plan)
+        lasermix_voxel(a, wide, SensorSpec(), 4)
+    with pytest.raises(ValueError):
+        lasermix_voxel(a, b, SensorSpec(), 0)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+       voxels=st.tuples(st.integers(1, 12), st.integers(1, 16), st.integers(1, 6)),
+       fov=st.tuples(st.floats(-40.0, -5.0), st.floats(0.0, 20.0)),
+       radial_max=st.floats(5.0, 30.0), num_bands=st.integers(1, 9), self_mix=st.booleans())
+def test_regrouped_mix_matches_voxelizing_the_rebuilt_scan(seed, sizes, voxels, fov,
+                                                           radial_max, num_bands, self_mix):
+    """The trainer's LaserMix path (cached voxel ids and channel rows gathered
+    at the picked rows, then grouped) against the old path: a mixed PointScan
+    rebuilt from the rows and voxelized from scratch."""
+    rng = np.random.default_rng(seed)
+    sensor = SensorSpec(fov_down=fov[0], fov_up=fov[1], voxel_dims=voxels,
+                        radial_max=radial_max)
+    a = random_scan(rng, n=sizes[0])
+    b = a if self_mix else random_scan(rng, n=sizes[1])
+    la, lb = a.labels.astype(np.int64), b.labels.astype(np.int64)
+    pair = (a, b)
+    grids = [project_to_voxel(s, sensor) for s in pair]
+    rows = lasermix_voxel(a, b, sensor, num_bands)
+
+    def pick(per_scan):
+        return np.concatenate(per_scan)[rows]
+
+    got = group_voxels(grids[0].shape, pick([g.cell_ids[g.cell_of_point] for g in grids]),
+                       voxel_point_rows(pick([s.positions for s in pair]),
+                                        pick([s.features for s in pair])))
+    mixed, ml = mix_points(a, b, la, lb, sensor, num_bands)
+    want = project_to_voxel(mixed, sensor)
+    assert got.shape == want.shape
+    for name in ("cells", "cell_ids", "cell_of_point", "member_order", "member_starts"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    targets = point_labels_to_grid(got, pick([la, lb]), a.num_classes)
+    assert np.array_equal(targets.cell_labels,
+                          point_labels_to_grid(want, ml, a.num_classes).cell_labels)

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import warnings
 
@@ -280,6 +281,16 @@ def test_ablate_writes_csv(tmp_path, ini, capsys):
         assert f"{name}: mean mIoU" in out
 
 
+def test_ablate_seed_flag_is_gone(tmp_path, ini, capsys):
+    # not read as an abbreviation of --seeds, which would train one seed of three
+    corpus = gen_corpus(tmp_path, ini)
+    capsys.readouterr()
+    assert main(["ablate", "--data", str(corpus), "--out", str(tmp_path / "rows.csv"),
+                 "--config", ini, "--seed", "3"]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # failure exit codes
 # ---------------------------------------------------------------------------
@@ -291,6 +302,23 @@ def test_usage_problems_exit_1(tmp_path, capsys):
     bad_ini.write_text("[train]\nepochs = zero\n")
     assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(bad_ini)]) == 1
     capsys.readouterr()
+
+
+def test_image_narrower_than_batch_with_mixing_exit_1(tmp_path, capsys):
+    ini = tmp_path / "narrow.ini"
+    ini.write_text(BASE_INI.replace("batch_size = 2", "batch_size = 4")
+                   + "\n[sensor]\nimage_width = 3\n")
+    corpus = gen_corpus(tmp_path, str(ini))
+    capsys.readouterr()
+    assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
+                 "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "image_width 3" in err and "batch_size 4" in err
+    assert "Traceback" not in err
+    # without the mixing augmentation the narrow image trains
+    ini.write_text(ini.read_text().replace("[train]\n", "[train]\nuse_augmentation = false\n"))
+    assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
+                 "--config", str(ini)]) == 0
 
 
 def test_missing_data_exit_2(tmp_path, ini, capsys):
@@ -470,6 +498,32 @@ def test_manifest_num_classes_must_be_a_positive_integer(tmp_path, ini, capsys, 
     assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "r"),
                  "--config", ini]) == 2
     assert "num_classes must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("image_height", 2.5), ("voxel_dims", [4.5, 6, 3]), ("num_beams", True),
+    ("image_width", False), ("fov_up", True), ("voxel_dims", [4, 6]),
+    ("voxel_dims", [4, True, 3]), ("radial_max", "25"), ("z_min", None),
+    ("fov_down", -math.inf),
+], ids=str)
+def test_manifest_sensor_fields_must_have_their_types(tmp_path, ini, capsys, key, value):
+    corpus = gen_corpus(tmp_path, ini)
+    state = init_model(1, 3, 4, 4, 2)
+    save_checkpoint(tmp_path / "model.it2m", state)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["sensor"][key] = value
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus)]) == 2
+    assert f"manifest sensor block is invalid: {key}" in capsys.readouterr().err
+
+
+def test_manifest_sensor_float_fields_take_integers(tmp_path, ini):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["sensor"]["radial_max"] = 25
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    assert read_manifest(corpus)["sensor"].radial_max == 25
 
 
 def test_eval_of_overflowing_checkpoint_exit_2(tmp_path, ini, capsys):

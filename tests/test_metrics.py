@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from peerseg import (ConfusionMatrix, fuse_predictions, miou_batchwise,
-                     miou_global)
+from peerseg import ConfusionMatrix, fuse_predictions
 from peerseg.scans import UNLABELLED
+from scoring import miou_batchwise, miou_global
 
 
 def test_confusion_hand_oracle():

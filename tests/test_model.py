@@ -9,8 +9,14 @@ from peerseg import (FormatError, NumericError, SceneConfig, SensorSpec, generat
 from peerseg import model as model_mod
 from peerseg.autodiff import Tensor
 from peerseg.gmm import bank_tensors
-from peerseg.model import (AdamW, forward_embed, forward_segment, probs_grid,
-                           sensor_input_scale, softmax, trunk_hidden)
+from peerseg.model import (AdamW, forward_segment, probs_grid, sensor_input_scale,
+                           softmax, trunk_hidden)
+
+
+def forward_embed(state, grid):
+    """Unit-norm embeddings for every covered cell of the grid."""
+    view = model_mod._view_of(state, grid)
+    return model_mod.project_embed(view, trunk_hidden(view, grid.cells))
 
 
 def tiny_state(**kw):

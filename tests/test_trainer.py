@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from peerseg import (RangeImage, SceneConfig, SensorSpec, TrainConfig, VoxelGrid, ablate,
-                     evaluate, generate_dataset, predict_point_probs, split_dataset, train)
+from peerseg import (PointScan, RangeImage, SceneConfig, SensorSpec, TrainConfig, VoxelGrid,
+                     ablate, evaluate, generate_dataset, predict_point_probs, split_dataset,
+                     train)
 from peerseg import trainer as trainer_mod
 from peerseg.errors import ConfigError
 from peerseg.projection import _CellTable
@@ -244,6 +245,31 @@ def test_training_and_eval_never_build_dense_grids(monkeypatch):
     assert len(metrics) == 2 and bank.initialized.any()
     assert metrics[-1]["loss_range_pseudo"] > 0 and metrics[-1]["loss_contrastive"] > 0
     evaluate(state, SENSOR, scans[:2], include_fused=True)
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_training_projects_each_scan_once(monkeypatch, epochs):
+    calls = {"range": 0, "voxel": 0, "scans": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    scans = tiny_dataset(8)
+    lab, unlab = split_dataset(scans[:6], 0.34)
+    monkeypatch.setattr(trainer_mod, "project_to_range",
+                        counted("range", trainer_mod.project_to_range))
+    monkeypatch.setattr(trainer_mod, "project_to_voxel",
+                        counted("voxel", trainer_mod.project_to_voxel))
+    monkeypatch.setattr(PointScan, "__post_init__", counted("scans", PointScan.__post_init__))
+    cfg = small_config(epochs=epochs, warmup_epochs=0, use_cross_supervision=True,
+                       use_contrastive=True, use_augmentation=True)
+    _, _, metrics = train(cfg, SENSOR, lab, unlab, eval_scans=scans[6:])
+    assert metrics[-1]["loss_voxel_pseudo"] > 0      # the mixed voxel term ran
+    # one projection per labelled, unlabelled and eval scan; no scan built while training
+    assert calls == {"range": 8, "voxel": 8, "scans": 0}
 
 
 def test_predict_point_probs_are_distributions():
