@@ -66,9 +66,14 @@ def _wrap(x) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    # The first adjoint is kept, not copied: it may be a push's own buffer, a
+    # slice or broadcast view of another node's gradient, or shared between
+    # two parents.  That is safe because nothing writes a gradient in place:
+    # pushes, sgd_step and AdamW.step only read .grad, and a second adjoint
+    # makes a new array.
     if not t.needs_grad:
         return
-    t.grad = g.copy() if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -183,20 +188,58 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
         gg = np.asarray(g)
         if axis is not None and not keepdims:
             gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accum(a, np.broadcast_to(gg, a.data.shape))
 
     return Tensor(out_data, _parents=(a,), _push=push)
 
 
-def leaky_relu(a, slope=0.01) -> Tensor:
-    a = _wrap(a)
-    factor = np.where(a.data >= 0, 1.0, slope)
-    out_data = a.data * factor
+def linear(x, w, b, slope=None) -> Tensor:
+    """One dense layer ``x @ w + b``, leaky-ReLU activated when ``slope`` is given.
+
+    One tape node in place of a matmul, an add and an activation node.  It
+    runs their numpy operations in their order, forward and backward, so its
+    values and gradients equal that chain's bit for bit.
+    """
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError("linear expects a 2-d input and weight")
+    out_data = x.data @ w.data
+    out_data += b.data
+    factor = None
+    if slope is not None:
+        factor = np.where(out_data >= 0, 1.0, slope)
+        out_data *= factor
 
     def push(g):
-        _accum(a, g * factor)
+        if factor is not None:
+            g = g * factor
+        if x.needs_grad:
+            _accum(x, g @ w.data.T)
+        if w.needs_grad:
+            _accum(w, x.data.T @ g)
+        _accum(b, g.sum(axis=0))
 
-    return Tensor(out_data, _parents=(a,), _push=push)
+    return Tensor(out_data, _parents=(x, w, b), _push=push)
+
+
+def log_softmax(logits) -> Tensor:
+    """Row-wise log softmax; the max shift is a forward-value constant.
+
+    One tape node in place of the chain
+    sub(shift, log(tsum(exp(shift), axis=1, keepdims=True))).  It runs the
+    chain's numpy operations in their order, forward and backward, so its
+    values and gradients equal that chain's bit for bit.
+    """
+    logits = _wrap(logits)
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    s = e.sum(axis=1, keepdims=True)
+    out_data = shift - np.log(s)
+
+    def push(g):
+        _accum(logits, g + np.broadcast_to((-g).sum(axis=1, keepdims=True) / s, e.shape) * e)
+
+    return Tensor(out_data, _parents=(logits,), _push=push)
 
 
 def take_rows(a, idx) -> Tensor:

@@ -25,15 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, log_softmax
 from .projection import cross_transfer
-
-
-def log_softmax(logits: Tensor) -> Tensor:
-    """Row-wise log softmax; the max shift is a forward-value constant."""
-    shift = ad.sub(logits, logits.data.max(axis=1, keepdims=True))
-    lse = ad.log(ad.tsum(ad.exp(shift), axis=1, keepdims=True))
-    return ad.sub(shift, lse)
 
 
 def _lovasz_weights(fg_sorted: np.ndarray) -> np.ndarray:

@@ -146,19 +146,18 @@ def trunk_hidden(view: ViewParams, cells) -> Tensor:
         raise ValueError(
             f"cell matrix has {x.data.shape} channels, view expects {view.in_dim}")
     x = ad.mul(x, 1.0 / view.input_scale)
-    return ad.leaky_relu(ad.add(ad.matmul(x, view.w1), view.b1), LEAKY_SLOPE)
+    return ad.linear(x, view.w1, view.b1, LEAKY_SLOPE)
 
 
 def segment_logits(view: ViewParams, hidden: Tensor) -> Tensor:
-    return ad.add(ad.matmul(hidden, view.w2), view.b2)
+    return ad.linear(hidden, view.w2, view.b2)
 
 
 def project_embed(view: ViewParams, hidden: Tensor) -> Tensor:
     """Three-layer projector, rows normalized onto the unit sphere."""
-    h = ad.leaky_relu(ad.add(ad.matmul(hidden, view.p1w), view.p1b), LEAKY_SLOPE)
-    h = ad.leaky_relu(ad.add(ad.matmul(h, view.p2w), view.p2b), LEAKY_SLOPE)
-    h = ad.add(ad.matmul(h, view.p3w), view.p3b)
-    return ad.normalize_rows(h)
+    h = ad.linear(hidden, view.p1w, view.p1b, LEAKY_SLOPE)
+    h = ad.linear(h, view.p2w, view.p2b, LEAKY_SLOPE)
+    return ad.normalize_rows(ad.linear(h, view.p3w, view.p3b))
 
 
 def _view_of(state: ModelState, grid) -> ViewParams:

@@ -228,10 +228,11 @@ def _voxel_ids(point_rows: np.ndarray, sensor: SensorSpec) -> np.ndarray:
     rho, x, y, z = (point_rows[:, i] for i in range(4))
     phi = np.arctan2(y, x)
     phi = np.where(phi >= math.pi, phi - 2.0 * math.pi, phi)  # keep [-pi, pi)
-    h = np.clip(np.floor(rho / sensor.radial_max * h_dim).astype(np.int64), 0, h_dim - 1)
-    w = np.clip(np.floor((phi + math.pi) / (2.0 * math.pi) * w_dim).astype(np.int64), 0, w_dim - 1)
+    # clamp in float, then cast: far points would overflow an int64 cast
+    h = np.clip(np.floor(rho / sensor.radial_max * h_dim), 0, h_dim - 1).astype(np.int64)
+    w = np.clip(np.floor((phi + math.pi) / (2.0 * math.pi) * w_dim), 0, w_dim - 1).astype(np.int64)
     z01 = (z - sensor.z_min) / (sensor.z_max - sensor.z_min)
-    l = np.clip(np.floor(z01 * l_dim).astype(np.int64), 0, l_dim - 1)
+    l = np.clip(np.floor(z01 * l_dim), 0, l_dim - 1).astype(np.int64)
     return (h * w_dim + w) * l_dim + l
 
 

@@ -148,9 +148,9 @@ def _embed(view, grid):
 
 def _embed_prenorm_min(view, grid):
     h = model_mod.trunk_hidden(view, grid.cells)
-    h = ad.leaky_relu(ad.add(ad.matmul(h, view.p1w), view.p1b), model_mod.LEAKY_SLOPE)
-    h = ad.leaky_relu(ad.add(ad.matmul(h, view.p2w), view.p2b), model_mod.LEAKY_SLOPE)
-    h = ad.add(ad.matmul(h, view.p3w), view.p3b)
+    h = ad.linear(h, view.p1w, view.p1b, model_mod.LEAKY_SLOPE)
+    h = ad.linear(h, view.p2w, view.p2b, model_mod.LEAKY_SLOPE)
+    h = ad.linear(h, view.p3w, view.p3b)
     return float(np.linalg.norm(h.data, axis=1).min())
 
 

@@ -101,18 +101,51 @@ def test_sum_axis_and_keepdims_grads():
     fd_check(lambda: mean(ad.tsum(a, axis=0)), [a])
 
 
-def test_leaky_relu_grad_away_from_kink():
+def leaky_relu(a, slope):
+    """The reference leaky ReLU: a mul by the slope factor of the forward values."""
+    return ad.mul(a, np.where(a.data >= 0, 1.0, slope))
+
+
+def test_linear_grad_away_from_kink():
     rng = np.random.default_rng(5)
-    vals = rng.normal(size=(4, 3))
-    vals[np.abs(vals) < 0.05] = 0.1  # keep probes clear of the kink
-    a = Tensor(vals, requires_grad=True)
-    fd_check(lambda: mean(ad.leaky_relu(a, 0.01)), [a])
+    x = rand_param(rng, 4, 3)
+    w = rand_param(rng, 3, 2)
+    b = rand_param(rng, 2)
+    assert np.abs(x.data @ w.data + b.data).min() > 0.05  # probes stay clear of the kink
+    assert (x.data @ w.data + b.data < 0).any()
+    fd_check(lambda: mean(ad.linear(x, w, b, 0.01)), [x, w, b])
+    fd_check(lambda: mean(ad.linear(x, w, b)), [x, w, b])
     # negative side uses the slope
     neg = Tensor(np.array([[-2.0]]), requires_grad=True)
-    out = ad.leaky_relu(neg, 0.25)
+    out = ad.linear(neg, np.ones((1, 1)), np.zeros(1), 0.25)
     assert out.data[0, 0] == pytest.approx(-0.5)
     ad.tsum(out).backward()
     assert neg.grad[0, 0] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("slope", [None, 0.01])
+@pytest.mark.parametrize("x_needs_grad", [False, True])
+def test_linear_equals_matmul_add_leaky_relu_bit_for_bit(slope, x_needs_grad):
+    rng = np.random.default_rng(12)
+    x_data = rng.normal(size=(7, 5))
+    w, b = rand_param(rng, 5, 3), rand_param(rng, 3)
+    upstream = rng.normal(size=(7, 3))
+    results = []
+    for fused in (True, False):
+        x = Tensor(x_data.copy(), requires_grad=x_needs_grad)
+        for p in (w, b):
+            p.zero_grad()
+        if fused:
+            out = ad.linear(x, w, b, slope)
+        else:
+            out = ad.add(ad.matmul(x, w), b)
+            if slope is not None:
+                out = leaky_relu(out, slope)
+        ad.tsum(ad.mul(out, upstream)).backward()
+        results.append([out.data, w.grad, b.grad] + ([x.grad] if x_needs_grad else []))
+        assert (x.grad is None) != x_needs_grad
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,30 @@ def test_set_supervised_loss_averages_scans():
     assert float(set_supervised_loss(T(logits), targets, []).data) == 0.0
 
 
+def log_softmax_chain(logits):
+    """Log softmax as five tape ops: the reference the one-node op must match."""
+    shift = ad.sub(logits, logits.data.max(axis=1, keepdims=True))
+    return ad.sub(shift, ad.log(ad.tsum(ad.exp(shift), axis=1, keepdims=True)))
+
+
+def test_log_softmax_equals_the_five_op_chain_bit_for_bit():
+    rng = np.random.default_rng(8)
+    data = rng.normal(scale=3.0, size=(9, 4))
+    targets = rng.integers(0, 4, size=9)
+    weights = rng.normal(size=(9, 4))
+    results = []
+    for build in (log_softmax, log_softmax_chain):
+        logits = T(data)
+        logp = build(logits)
+        # both consumers of the supervised loss: a cross-entropy gather and exp
+        loss = ad.add(ad.tsum(ad.take_at(logp, np.arange(9), targets)),
+                      ad.tsum(ad.mul(ad.exp(logp), weights)))
+        loss.backward()
+        results.append((logp.data, logits.grad))
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_log_softmax_stable_at_large_logits():
     out = log_softmax(T([[1000.0, 1000.0 - math.log(3.0)]]))
     assert np.isfinite(out.data).all()

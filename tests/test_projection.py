@@ -101,6 +101,13 @@ def test_voxel_overflow_clamps():
     assert vox.voxel_of_point[2, 2] == 7
 
 
+def test_voxel_far_point_lands_in_outer_ring_and_top_layer():
+    # bins clamp before the int cast, which a 1e30 m point would overflow
+    vox = project_to_voxel(make_scan([[1e30, 0, 1e30], [1, 0, 0]]), SENSOR)
+    assert vox.voxel_of_point[0].tolist() == [15, 12, 7]
+    assert vox.voxel_of_point[1].tolist() == [0, 12, 4]
+
+
 def test_voxel_channels_are_member_means():
     scan = make_scan([[5, 0, 0], [6, 0, 0]], feats=[[0.2], [0.4]])
     vox = project_to_voxel(scan, SENSOR)
