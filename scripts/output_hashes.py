@@ -78,7 +78,10 @@ def _run(argv) -> str:
 
 
 def main(work: Path) -> None:
-    work.mkdir(parents=True)
+    try:
+        work.mkdir(parents=True)
+    except FileExistsError:
+        raise SystemExit(f"{work} already exists; give a WORK_DIR that does not") from None
     corpus_ini = work / "corpus.ini"
     corpus_ini.write_text(CORPUS_INI)
     corpus = work / "corpus"

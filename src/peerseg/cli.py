@@ -40,15 +40,12 @@ class DataConfig:
     num_scans: int = 40
     eval_scans: int = 10
     labelled_fraction: float = 0.2
-    split: str = "uniform"              # "uniform" | "partial"
 
     def __post_init__(self):
         if self.num_scans < 1 or self.eval_scans < 0:
             raise ConfigError("num_scans must be >= 1 and eval_scans >= 0")
         if not 0 < self.labelled_fraction <= 1:
             raise ConfigError("labelled_fraction must be in (0, 1]")
-        if self.split not in ("uniform", "partial"):
-            raise ConfigError(f"unknown split strategy {self.split!r}")
 
 
 _SECTIONS = {"scene": SceneConfig, "sensor": SensorSpec, "train": TrainConfig,
@@ -225,6 +222,21 @@ def _load_splits(data_dir, manifest: dict, splits, layout=None) -> list[list[Poi
     return out
 
 
+def _load_training_splits(data_dir, manifest: dict):
+    """The three splits for train and ablate.  The labelled split must be
+    non-empty and label every point: a cell with no labelled point would
+    train as class 0."""
+    labelled, unlabelled, eval_scans = _load_splits(data_dir, manifest, SPLITS)
+    if not labelled:
+        raise FormatError("manifest lists no 'labelled' scans; training needs at least one")
+    for name, scan in zip(manifest["labelled"], labelled):
+        missing = int((scan.labels == UNLABELLED).sum())
+        if missing:
+            raise FormatError(f"{Path(data_dir) / name}: {missing} of {scan.num_points} points "
+                              f"are unlabelled; a labelled-split scan must label every point")
+    return labelled, unlabelled, eval_scans
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -239,7 +251,7 @@ def _cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     pool = generate_dataset(scene, data.num_scans, base_seed)
-    labelled, unlabelled = split_dataset(pool, data.labelled_fraction, data.split)
+    labelled, unlabelled = split_dataset(pool, data.labelled_fraction)
     eval_pool = generate_dataset(scene, data.eval_scans, base_seed + data.num_scans) \
         if data.eval_scans else []
 
@@ -264,7 +276,7 @@ def _cmd_train(args) -> int:
         train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
 
     manifest = read_manifest(args.data)
-    labelled, unlabelled, eval_scans = _load_splits(args.data, manifest, SPLITS)
+    labelled, unlabelled, eval_scans = _load_training_splits(args.data, manifest)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -318,7 +330,7 @@ def _cmd_ablate(args) -> int:
         dataclasses.replace(train_cfg, seed=seed)
 
     manifest = read_manifest(args.data)
-    labelled, unlabelled, eval_scans = _load_splits(args.data, manifest, SPLITS)
+    labelled, unlabelled, eval_scans = _load_training_splits(args.data, manifest)
     if not eval_scans:
         raise FormatError("ablation needs eval scans in the manifest")
 

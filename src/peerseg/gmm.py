@@ -298,19 +298,16 @@ def merge_anchor_sets(a: AnchorSet, b: AnchorSet) -> AnchorSet:
     )
 
 
-def collect_embeddings(range_z, range_labels, range_conf,
-                       voxel_z, voxel_labels, voxel_conf,
-                       cap_per_class: int, rng, num_classes: int) -> dict:
-    """Pool detached embeddings from both views into per-class sample sets.
+def collect_embeddings(views, cap_per_class: int, rng, num_classes: int) -> dict:
+    """Pool detached embeddings from every view into per-class sample sets.
 
-    Inputs are numpy arrays (detached); per class at most cap_per_class
-    rows survive, uniformly subsampled.  Returns {class id: ClassSamples}.
+    ``views`` holds one (z, labels, conf) triple of numpy arrays (detached)
+    per view, pooled in that order; per class at most cap_per_class rows
+    survive, uniformly subsampled.  Returns {class id: ClassSamples}.
     """
-    z = np.concatenate([np.asarray(range_z, dtype=np.float64),
-                        np.asarray(voxel_z, dtype=np.float64)], axis=0)
-    labels = np.concatenate([np.asarray(range_labels), np.asarray(voxel_labels)])
-    conf = np.concatenate([np.asarray(range_conf, dtype=np.float64),
-                           np.asarray(voxel_conf, dtype=np.float64)])
+    z = np.concatenate([np.asarray(vz, dtype=np.float64) for vz, _, _ in views], axis=0)
+    labels = np.concatenate([np.asarray(vl) for _, vl, _ in views])
+    conf = np.concatenate([np.asarray(vc, dtype=np.float64) for _, _, vc in views])
     out = {}
     for y in range(num_classes):
         idx = np.nonzero(labels == y)[0]

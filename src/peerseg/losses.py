@@ -18,6 +18,11 @@ then average over the present classes.  The sorted order and the grad
 weights are fixed at their forward values, so gradients flow only through
 the errors; on hard 0/1 predictions the value reduces exactly to
 1 - Jaccard per present class.
+
+Each scan is one block: its present classes by its cells, sorted row by
+row with one stable argsort of the errors.  The blocks' sorted (row,
+column) pairs, raveled class-major, feed a single gather, so the errors
+reach the tape already in order: scan, ascending class, decreasing error.
 """
 
 from __future__ import annotations
@@ -30,12 +35,12 @@ from .projection import cross_transfer
 
 
 def _lovasz_weights(fg_sorted: np.ndarray) -> np.ndarray:
-    """Discrete gradient of the Jaccard loss along the sorted error prefix."""
-    gts = fg_sorted.sum()
-    intersection = gts - np.cumsum(fg_sorted)
-    union = gts + np.cumsum(1.0 - fg_sorted)
+    """Discrete gradient of the Jaccard loss along each row's sorted error prefix."""
+    gts = fg_sorted.sum(axis=1, keepdims=True)
+    intersection = gts - np.cumsum(fg_sorted, axis=1)
+    union = gts + np.cumsum(1.0 - fg_sorted, axis=1)
     jaccard = 1.0 - intersection / union
-    jaccard[1:] = jaccard[1:] - jaccard[:-1]
+    jaccard[:, 1:] = jaccard[:, 1:] - jaccard[:, :-1]
     return jaccard
 
 
@@ -60,39 +65,29 @@ def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
 
     ``probs`` stacks every scan's covered cells; ``slices`` lists each
     scan's (start, stop) row range and ``targets`` aligns with the rows.
-    Built as one flat gather over every (scan, present class) segment.
+    Built as one flat gather of every scan's errors in sorted order.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    num_scans = len(slices)
-    rows_parts, cols_parts, fg_parts, segments = [], [], [], []
+    rows_parts, cols_parts, fg_parts, weight_parts = [], [], [], []
     for start, stop in slices:
-        seg_targets = targets[start:stop]
-        for c in np.unique(seg_targets):
-            rows_parts.append(np.arange(start, stop))
-            cols_parts.append(np.full(stop - start, c, dtype=np.int64))
-            fg_parts.append((seg_targets == c).astype(np.float64))
-            segments.append((start, stop, int(c)))
-    if not segments:
+        present = np.unique(targets[start:stop])
+        if present.size == 0:
+            continue
+        # (present classes, cells) block, each row sorted by decreasing error
+        fg = (targets[start:stop] == present[:, None]).astype(np.float64)
+        keys = -np.abs(fg - probs.data[start:stop, present].T)
+        order = np.argsort(keys, axis=1, kind="stable")
+        fg = np.take_along_axis(fg, order, axis=1)
+        scale = 1.0 / (len(slices) * present.size)
+        rows_parts.append((start + order).ravel())
+        cols_parts.append(np.repeat(present, stop - start))
+        fg_parts.append(fg.ravel())
+        weight_parts.append((_lovasz_weights(fg) * scale).ravel())
+    if not rows_parts:
         return Tensor(0.0)
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    errors = ad.detached_sign_abs(ad.sub(np.concatenate(fg_parts), ad.take_at(probs, rows, cols)))
-
-    # per-segment descending sort and lovasz weights, fused into one gather
-    perm = np.empty(rows.shape[0], dtype=np.int64)
-    weights = np.empty(rows.shape[0])
-    present_per_scan = {}
-    for start, stop, _ in segments:
-        present_per_scan[start] = present_per_scan.get(start, 0) + 1
-    off = 0
-    for (start, stop, c), fg_seg in zip(segments, fg_parts):
-        n = stop - start
-        local = np.argsort(-errors.data[off:off + n], kind="stable")
-        perm[off:off + n] = off + local
-        scale = 1.0 / (num_scans * present_per_scan[start])
-        weights[off:off + n] = _lovasz_weights(fg_seg[local]) * scale
-        off += n
-    return ad.tsum(ad.mul(ad.take_rows(errors, perm), weights))
+    picked = ad.take_at(probs, np.concatenate(rows_parts), np.concatenate(cols_parts))
+    errors = ad.detached_sign_abs(ad.sub(np.concatenate(fg_parts), picked))
+    return ad.tsum(ad.mul(errors, np.concatenate(weight_parts)))
 
 
 def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:

@@ -388,12 +388,11 @@ def read_scan(path) -> PointScan:
 # splits
 # ---------------------------------------------------------------------------
 
-def split_dataset(scans, labelled_fraction, strategy="uniform"):
+def split_dataset(scans, labelled_fraction):
     """Partition scans into (labelled, unlabelled-with-stripped-labels).
 
-    uniform: ceil(f*n) scans evenly spread over the list (index floor(i*n/k)).
-    partial: the contiguous prefix of ceil(f*n) scans.
-    Both strategies are deterministic.
+    The ceil(f*n) labelled scans are spread evenly over the list (index
+    floor(i*n/k)), so the split is deterministic.
     """
     n = len(scans)
     if n < 1:
@@ -401,12 +400,7 @@ def split_dataset(scans, labelled_fraction, strategy="uniform"):
     if not 0 < labelled_fraction <= 1:
         raise ConfigError("labelled_fraction must be in (0, 1]")
     k = math.ceil(labelled_fraction * n)
-    if strategy == "uniform":
-        idx = sorted({(i * n) // k for i in range(k)})
-    elif strategy == "partial":
-        idx = list(range(k))
-    else:
-        raise ConfigError(f"unknown split strategy {strategy!r}")
+    idx = sorted({(i * n) // k for i in range(k)})
     chosen = set(idx)
     labelled = [scans[i] for i in idx]
     unlabelled = [scans[i].strip_labels() for i in range(n) if i not in chosen]

@@ -270,8 +270,8 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
                                             TEMPERATURE, rng_proto)
         # detached embedding pool for the mixture updates (after the loss,
         # so this iteration's contrastive term reads the previous shadow)
-        class_sets = gmm_mod.collect_embeddings(*pool[0], *pool[1],
-                                                config.embed_subsample_cap, rng_em, y_count)
+        class_sets = gmm_mod.collect_embeddings(pool, config.embed_subsample_cap, rng_em,
+                                                y_count)
 
     total = ad.add(ad.add(ad.add(*loss_lab), ad.add(*loss_pse)), loss_ctr)
     if not np.isfinite(total.data):

@@ -58,7 +58,6 @@ def test_load_config_defaults_without_file():
     cfgs = load_config(None)
     assert cfgs["train"].epochs == 12
     assert cfgs["sensor"].image_width == 96
-    assert cfgs["data"].split == "uniform"
 
 
 def test_load_config_coerces_types(tmp_path):
@@ -430,6 +429,61 @@ def test_train_on_mixed_feature_counts_exit_2(tmp_path, ini, capsys):
                  "--config", ini]) == 2
     assert "unlabelled_000.it2s holds 3 classes and 2 feature channels" in \
         capsys.readouterr().err
+
+
+TRAINING_COMMANDS = pytest.mark.parametrize("command, out", [("train", "run"),
+                                                             ("ablate", "rows.csv")])
+
+
+@TRAINING_COMMANDS
+def test_partially_labelled_scan_in_labelled_split_exit_2(tmp_path, ini, capsys, command, out):
+    corpus = gen_corpus(tmp_path, ini)
+    victim = corpus / read_manifest(corpus)["labelled"][1]
+    scan = read_scan(victim)
+    labels = scan.labels.copy()
+    labels[::2] = UNLABELLED
+    write_scan(PointScan(scan.positions, scan.features, labels, scan.num_classes), victim)
+    capsys.readouterr()
+    assert main([command, "--data", str(corpus), "--out", str(tmp_path / out),
+                 "--config", ini]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "labelled_001.it2s: 60 of 120 points are unlabelled" in captured.err
+    # scoring still takes a partially labelled scan
+    save_checkpoint(tmp_path / "model.it2m", init_model(1, 3, 4, 4, 2))
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus),
+                 "--split", "labelled"]) == 0
+
+
+@TRAINING_COMMANDS
+def test_empty_labelled_split_exit_2(tmp_path, ini, capsys, command, out):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["labelled"] = []
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main([command, "--data", str(corpus), "--out", str(tmp_path / out),
+                 "--config", ini]) == 2
+    assert "no 'labelled' scans" in capsys.readouterr().err
+
+
+def test_zero_point_scan_in_every_split_trains_and_evals(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    empty = PointScan(np.zeros((0, 3), dtype=np.float32), np.zeros((0, 1), dtype=np.float32),
+                      np.zeros(0, dtype=np.uint16), 3)
+    for split in ("labelled", "unlabelled", "eval"):
+        write_scan(empty, corpus / f"{split}_empty.it2s")
+        manifest[split].insert(1, f"{split}_empty.it2s")
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(corpus), "--out", str(run), "--config", ini]) == 0
+    records = [json.loads(line) for line in (run / "metrics.jsonl").read_text().splitlines()]
+    assert len(records) == 2 and all(math.isfinite(r["loss_total"]) for r in records)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(run / "model.it2m"), "--data", str(corpus),
+                 "--fused"]) == 0
+    assert 0.0 <= strict_json(capsys.readouterr().out)["fused"]["miou"] <= 1.0
 
 
 # IT2M layout: magic, version, count (12 bytes), then the first record,

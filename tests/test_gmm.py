@@ -265,7 +265,7 @@ def test_collect_embeddings_caps_per_class():
     vz = rng.normal(size=(20, 3))
     rl = np.zeros(30, dtype=np.int64)
     vl = np.concatenate([np.zeros(5, dtype=np.int64), np.ones(15, dtype=np.int64)])
-    sets = collect_embeddings(rz, rl, np.full(30, 0.9), vz, vl, np.full(20, 0.8),
+    sets = collect_embeddings([(rz, rl, np.full(30, 0.9)), (vz, vl, np.full(20, 0.8))],
                               cap_per_class=20, rng=rng, num_classes=3)
     assert set(sets) == {0, 1}
     assert sets[0].count == 20

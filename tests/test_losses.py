@@ -212,6 +212,90 @@ def test_set_supervised_loss_matches_reference():
         assert _fd_gradient_errors(lambda: set_supervised_loss(x, targets, slices), x) < 1e-4
 
 
+def per_segment_lovasz(probs, targets, slices):
+    """The Lovasz half as one argsort per (scan, present class) segment, on
+    the tape: the form the per-scan block sort must equal bit for bit."""
+    targets = np.asarray(targets, dtype=np.int64)
+    rows_parts, cols_parts, fg_parts, segments = [], [], [], []
+    for start, stop in slices:
+        seg_targets = targets[start:stop]
+        for c in np.unique(seg_targets):
+            rows_parts.append(np.arange(start, stop))
+            cols_parts.append(np.full(stop - start, c, dtype=np.int64))
+            fg_parts.append((seg_targets == c).astype(np.float64))
+            segments.append((start, stop))
+    if not segments:
+        return Tensor(0.0)
+    rows = np.concatenate(rows_parts)
+    cols = np.concatenate(cols_parts)
+    errors = ad.detached_sign_abs(ad.sub(np.concatenate(fg_parts), ad.take_at(probs, rows, cols)))
+    perm = np.empty(rows.shape[0], dtype=np.int64)
+    weights = np.empty(rows.shape[0])
+    present = {start: sum(s == start for s, _ in segments) for start, _ in segments}
+    off = 0
+    for (start, stop), fg_seg in zip(segments, fg_parts):
+        n = stop - start
+        local = np.argsort(-errors.data[off:off + n], kind="stable")
+        perm[off:off + n] = off + local
+        fg_sorted = fg_seg[local]
+        gts = fg_sorted.sum()
+        jaccard = 1.0 - (gts - np.cumsum(fg_sorted)) / (gts + np.cumsum(1.0 - fg_sorted))
+        jaccard[1:] = jaccard[1:] - jaccard[:-1]
+        weights[off:off + n] = jaccard * (1.0 / (len(slices) * present[start]))
+        off += n
+    return ad.tsum(ad.mul(ad.take_rows(errors, perm), weights))
+
+
+def scan_slices(sizes):
+    stops = np.cumsum(sizes).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
+def lovasz_cases():
+    rng = np.random.default_rng(11)
+    sizes = (3, 5, 1, 0, 4, 9)
+    logits = rng.normal(scale=2.0, size=(sum(sizes), 4))
+    yield "unequal_sizes", "logits", logits, rng.integers(0, 4, size=sum(sizes)), \
+        scan_slices(sizes)
+    # probabilities on a coarse grid, so errors repeat across cells
+    probs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(12, 3))
+    yield "tied_errors", "probs", probs, rng.integers(0, 3, size=12), scan_slices((5, 7))
+    probs = np.eye(3)[rng.integers(0, 3, size=10)]
+    yield "zero_one_probs", "probs", probs, rng.integers(0, 3, size=10), \
+        scan_slices((4, 0, 6))
+    targets = np.concatenate([np.full(6, 2), rng.integers(0, 4, size=8)])
+    yield "one_class_scan", "logits", rng.normal(size=(14, 4)), targets, scan_slices((6, 8))
+    yield "only_empty_scans", "logits", np.zeros((0, 3)), np.zeros(0, dtype=np.int64), \
+        [(0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("case", list(lovasz_cases()), ids=lambda case: case[0])
+def test_lovasz_block_sort_equals_per_segment_reference_bit_for_bit(case):
+    _, kind, data, targets, slices = case
+    results = []
+    for build in (lovasz_set_loss, per_segment_lovasz):
+        x = T(data)
+        probs = ad.exp(log_softmax(x)) if kind == "logits" else x
+        loss = build(probs, targets, slices)
+        if loss.needs_grad:
+            loss.backward()
+        results.append((loss.data, x.grad))
+    (value, grad), (want_value, want_grad) = results
+    assert value.tobytes() == want_value.tobytes()
+    if want_grad is None:
+        assert grad is None
+    else:
+        assert grad.tobytes() == want_grad.tobytes()
+
+
+def test_lovasz_skips_empty_scans():
+    # an empty scan adds no term but still counts in the set size
+    probs = T([[0.6, 0.4]])
+    got = float(lovasz_set_loss(probs, [0], [(0, 0), (0, 1)]).data)
+    assert got == pytest.approx(0.2, abs=1e-12)
+    assert float(lovasz_set_loss(T(np.zeros((0, 2))), [], [(0, 0)]).data) == 0.0
+
+
 def test_set_supervised_loss_single_scan_equals_combined():
     # one scan: the objective is that scan's mean cross entropy plus its Lovasz term
     rng = np.random.default_rng(3)

@@ -203,14 +203,6 @@ def test_split_uniform_picks_spread_indices():
     assert all(a == b for a, b in zip(labelled, expect))
 
 
-def test_split_partial_takes_prefix():
-    scans = generate_dataset(small_cfg(), 10, base_seed=0)
-    labelled, unlabelled = split_dataset(scans, 0.3, strategy="partial")
-    assert len(labelled) == 3
-    assert all(a == b for a, b in zip(labelled, scans[:3]))
-    assert len(unlabelled) == 7
-
-
 def test_split_strips_unlabelled_labels():
     scans = generate_dataset(small_cfg(), 6, base_seed=0)
     _, unlabelled = split_dataset(scans, 0.5)
