@@ -124,17 +124,6 @@ def mul(a, b) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _push=push)
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data / b.data
-
-    def push(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _push=push)
-
-
 def matmul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -166,16 +155,6 @@ def log(a) -> Tensor:
 
     def push(g):
         _accum(a, g / a.data)
-
-    return Tensor(out_data, _parents=(a,), _push=push)
-
-
-def sqrt(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.sqrt(a.data)
-
-    def push(g):
-        _accum(a, g * 0.5 / out_data)
 
     return Tensor(out_data, _parents=(a,), _push=push)
 
@@ -299,6 +278,15 @@ def detached_sign_abs(a) -> Tensor:
 
 
 def normalize_rows(a, eps=1e-12) -> Tensor:
-    """Rows scaled to unit Euclidean length."""
-    sq = tsum(mul(a, a), axis=1, keepdims=True)
-    return div(a, sqrt(add(sq, eps)))
+    """Rows scaled to unit Euclidean length: a / n with n = sqrt(|a|^2 + eps).
+
+    One tape node; the push is the closed form (g - out * <g, out>) / n.
+    """
+    a = _wrap(a)
+    n = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True) + eps)
+    out_data = a.data / n
+
+    def push(g):
+        _accum(a, (g - out_data * (g * out_data).sum(axis=1, keepdims=True)) / n)
+
+    return Tensor(out_data, _parents=(a,), _push=push)

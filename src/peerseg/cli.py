@@ -57,8 +57,6 @@ def _coerce(text: str, typ, key: str):
     if origin is tuple:
         args = typing.get_args(typ)
         parts = [p.strip() for p in text.split(",")]
-        if len(args) == 2 and args[1] is Ellipsis:
-            args = (args[0],) * len(parts)
         if len(parts) != len(args):
             raise ConfigError(f"{key}: expected {len(args)} comma-separated values")
         return tuple(_coerce(p, a, key) for p, a in zip(parts, args))

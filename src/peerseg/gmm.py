@@ -12,6 +12,11 @@ safely positive definite without giving up exact likelihood ascent.
 A slow exponential-moving-average shadow of each class's parameters is the
 distribution prototypes are sampled from; the live parameters chase the
 current batch, the shadow stays stable for the contrastive loss.
+
+The contrast runs in one pass: the prototypes of all ready classes are
+stacked, every usable anchor meets every prototype in one product, and a
+class mask marks each anchor's positive columns.  A pair's term is
+log(exp(s_pos) + sum of exp over the anchor's negative columns) - s_pos.
 """
 
 from __future__ import annotations
@@ -231,13 +236,11 @@ def sample_prototypes(bank: GmmBank, y: int, count: int, rng,
         raise RuntimeError(f"class {y} has no initialized mixture")
     if count < 1:
         raise ValueError("count must be >= 1")
-    means, covs = bank.ema_means[y], bank.ema_covs[y]
     comps = rng.choice(bank.num_components, size=count, p=bank.priors[y])
-    chols = [_chol(covs[j], f"class {y} component {j}") for j in range(bank.num_components)]
+    chols = np.stack([_chol(bank.ema_covs[y, j], f"class {y} component {j}")
+                      for j in range(bank.num_components)])
     eps = rng.normal(size=(count, bank.dim))
-    out = np.empty((count, bank.dim))
-    for i in range(count):
-        out[i] = means[comps[i]] + chols[comps[i]] @ eps[i]
+    out = bank.ema_means[y][comps] + (chols[comps] @ eps[:, :, None])[:, :, 0]
     if normalize:
         norms = np.linalg.norm(out, axis=1, keepdims=True)
         norms[norms == 0] = 1.0
@@ -337,30 +340,18 @@ def contrastive_loss(anchors: AnchorSet, bank: GmmBank, prototypes_per_class: in
     ready = bank.ready_classes()
     if len(ready) < 2 or anchors.count == 0:
         return Tensor(0.0)
-    protos = {y: sample_prototypes(bank, y, prototypes_per_class, rng) for y in ready}
-    usable = np.isin(anchors.labels, ready)
-    if not usable.any():
+    protos = np.concatenate([sample_prototypes(bank, y, prototypes_per_class, rng)
+                             for y in ready])
+    rows = np.nonzero(np.isin(anchors.labels, ready))[0]
+    if rows.size == 0:
         return Tensor(0.0)
-    inv_t = 1.0 / temperature
-    total = None
-    pair_count = 0
-    for y in ready:
-        rows = np.nonzero(anchors.labels == y)[0]
-        if rows.size == 0:
-            continue
-        a = ad.take_rows(anchors.z, rows)
-        pos = protos[y]
-        neg = np.concatenate([protos[c] for c in ready if c != y], axis=0)
-        pos_logits = ad.mul(ad.matmul(a, pos.T), inv_t)          # (n_y, P)
-        neg_logits = ad.mul(ad.matmul(a, neg.T), inv_t)          # (n_y, Nn)
-        neg_sum = ad.tsum(ad.exp(neg_logits), axis=1, keepdims=True)
-        per_pair = ad.sub(ad.log(ad.add(ad.exp(pos_logits), neg_sum)), pos_logits)
-        term = ad.tsum(per_pair)
-        total = term if total is None else ad.add(total, term)
-        pair_count += rows.size * pos.shape[0]
-    if total is None:
-        return Tensor(0.0)
-    return ad.mul(total, 1.0 / pair_count)
+    pos = anchors.labels[rows, None] == np.repeat(ready, prototypes_per_class)[None, :]
+    logits = ad.mul(ad.matmul(ad.take_rows(anchors.z, rows), protos.T), 1.0 / temperature)
+    e = ad.exp(logits)
+    neg_sum = ad.tsum(ad.mul(e, ~pos), axis=1, keepdims=True)
+    per_pair = ad.sub(ad.log(ad.add(e, neg_sum)), logits)
+    total = ad.tsum(ad.mul(per_pair, pos))
+    return ad.mul(total, 1.0 / (rows.size * prototypes_per_class))
 
 
 # ---------------------------------------------------------------------------

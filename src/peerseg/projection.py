@@ -120,12 +120,8 @@ class RangeImage(_CellTable):
         return self._coords_of_point()
 
 
-@dataclass
 class VoxelGrid(_CellTable):
     """Voxel grid of shape (H, W, L); a voxel's flat id is (h * W + w) * L + l."""
-
-    member_order: np.ndarray  # (N,) point ids grouped by voxel
-    member_starts: np.ndarray  # (M + 1,) CSR offsets into member_order
 
     def points_to_cells(self, point_values: np.ndarray) -> np.ndarray:
         """Per-point rows onto the occupied voxels: the mean over each voxel's members."""
@@ -239,20 +235,17 @@ def _voxel_ids(point_rows: np.ndarray, sensor: SensorSpec) -> np.ndarray:
 def group_voxels(shape, flat_ids: np.ndarray, point_rows: np.ndarray) -> VoxelGrid:
     """The voxel table of points with known flat voxel ids in a grid of
     ``shape``: each occupied voxel averages its members' channel rows."""
-    n = flat_ids.shape[0]
-    member_order = np.argsort(flat_ids, kind="stable").astype(np.int64)
-    sorted_flat = flat_ids[member_order]
-    first = np.ones(n, dtype=bool)
+    order = np.argsort(flat_ids, kind="stable")
+    sorted_flat = flat_ids[order]
+    first = np.ones(flat_ids.shape[0], dtype=bool)
     first[1:] = sorted_flat[1:] != sorted_flat[:-1]
     starts = np.flatnonzero(first)
-    cell_of_point = _rows_of_sorted(member_order, first)
+    cell_of_point = _rows_of_sorted(order, first)
     return VoxelGrid(
         shape=tuple(shape),
         cells=_cell_means(cell_of_point, starts.shape[0], point_rows),
         cell_ids=sorted_flat[starts],
         cell_of_point=cell_of_point,
-        member_order=member_order,
-        member_starts=np.append(starts, n).astype(np.int64),
     )
 
 

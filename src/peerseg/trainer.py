@@ -331,10 +331,12 @@ def _evaluate_bundles(state, bundles, y_count, protocol="global", include_fused=
             else:
                 cm = ConfusionMatrix(y_count)
                 cm.update(b.scan.labels, preds[v])
-                scores[v].append(cm.miou())
+                if cm.counts.any():  # a scan with no labelled point has no score
+                    scores[v].append(cm.miou())
     if protocol == "global":
         return {v: {"iou": cms[v].iou().tolist(), "miou": cms[v].miou()} for v in views}
-    return {v: {"iou": None, "miou": float(np.mean(scores[v]))} for v in views}
+    return {v: {"iou": None, "miou": float(np.mean(s)) if s else float("nan")}
+            for v, s in scores.items()}
 
 
 def evaluate(state, sensor, scans, protocol="global", include_fused=False):

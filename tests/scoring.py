@@ -19,10 +19,12 @@ def miou_global(pairs, num_classes: int) -> float:
 
 
 def miou_batchwise(pairs, num_classes: int) -> float:
-    """Mean of per-scan mIoU values (each scan scored on its own matrix)."""
+    """Mean of per-scan mIoU values (each scan scored on its own matrix);
+    a scan with no labelled point has no score and is skipped."""
     scores = []
     for truth, prediction in pairs:
         cm = ConfusionMatrix(num_classes)
         cm.update(truth, prediction)
-        scores.append(cm.miou())
+        if cm.counts.any():
+            scores.append(cm.miou())
     return float(np.mean(scores)) if scores else float("nan")

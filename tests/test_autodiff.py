@@ -57,8 +57,6 @@ def test_add_sub_mul_div_grads():
     fd_check(lambda: mean(ad.add(a, b)), [a, b])
     fd_check(lambda: mean(ad.sub(a, b)), [a, b])
     fd_check(lambda: mean(ad.mul(a, b)), [a, b])
-    c = Tensor(rng.uniform(1.0, 2.0, size=(3, 4)), requires_grad=True)
-    fd_check(lambda: mean(ad.div(a, c)), [a, c])
 
 
 def test_broadcast_grads():
@@ -89,7 +87,6 @@ def test_exp_log_sqrt_grads():
     fd_check(lambda: mean(ad.exp(a)), [a])
     pos = Tensor(rng.uniform(0.5, 3.0, size=(2, 3)), requires_grad=True)
     fd_check(lambda: mean(ad.log(pos)), [pos])
-    fd_check(lambda: mean(ad.sqrt(pos)), [pos])
 
 
 def test_sum_axis_and_keepdims_grads():
@@ -191,6 +188,52 @@ def test_normalize_rows_grads_and_norms():
     out = ad.normalize_rows(a)
     assert np.linalg.norm(out.data, axis=1) == pytest.approx(np.ones(4))
     fd_check(lambda: mean(ad.mul(ad.normalize_rows(a), np.arange(5.0))), [a])
+
+
+def chain_sqrt(a):
+    out_data = np.sqrt(a.data)
+
+    def push(g):
+        ad._accum(a, g * 0.5 / out_data)
+
+    return Tensor(out_data, _parents=(a,), _push=push)
+
+
+def chain_div(a, b):
+    out_data = a.data / b.data
+
+    def push(g):
+        ad._accum(a, ad._unbroadcast(g / b.data, a.data.shape))
+        ad._accum(b, ad._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+
+    return Tensor(out_data, _parents=(a, b), _push=push)
+
+
+def chain_normalize_rows(a, eps=1e-12):
+    """The reference: normalize_rows as a chain of tape ops, a / sqrt(sum(a * a) + eps),
+    with elementwise sqrt and div nodes whose pushes follow the chain rule."""
+    sq = ad.tsum(ad.mul(a, a), axis=1, keepdims=True)
+    return chain_div(a, chain_sqrt(ad.add(sq, eps)))
+
+
+@pytest.mark.parametrize("zero_row", [False, True])
+def test_normalize_rows_equals_chain_reference(zero_row):
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=(6, 5))
+    if zero_row:
+        data[2] = 0.0
+    upstream = rng.normal(size=(6, 5))
+    results = []
+    for build in (ad.normalize_rows, chain_normalize_rows):
+        a = Tensor(data.copy(), requires_grad=True)
+        out = build(a)
+        ad.tsum(ad.mul(out, upstream)).backward()
+        results.append((out.data, a.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert got.tobytes() == want.tobytes()  # the forward runs the chain's numpy ops
+    np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=0)
+    if zero_row:
+        assert (got[2] == 0).all() and got_grad[2] == pytest.approx(upstream[2] * 1e6)
 
 
 def test_detached_sign_abs_value_and_grad():

@@ -10,7 +10,7 @@ from peerseg.cli import load_config, main, read_manifest
 from peerseg.errors import ConfigError, FormatError
 from peerseg.model import init_model, save_checkpoint
 from peerseg.scans import UNLABELLED, PointScan, read_scan, write_scan
-from peerseg.trainer import METRIC_KEYS
+from peerseg.trainer import METRIC_KEYS, evaluate
 
 
 BASE_INI = """\
@@ -226,6 +226,26 @@ def test_eval_prints_null_for_undefined_iou(tmp_path, ini, capsys):
             assert scored[view]["miou"] == 1.0
             if protocol == "global":
                 assert scored[view]["iou"] == [1.0, None, None]
+
+
+def test_batchwise_eval_skips_a_scan_with_no_labelled_point(tmp_path, ini, capsys):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = read_manifest(corpus)
+    labelled_name, stripped_name = manifest["eval"]
+    stripped = read_scan(corpus / stripped_name).strip_labels()
+    write_scan(stripped, corpus / stripped_name)
+    state = init_model(stripped.num_features, 3, 4, 4, 2)
+    save_checkpoint(tmp_path / "model.it2m", state)
+    # the same batchwise score as the labelled scan scored alone
+    want = evaluate(state, manifest["sensor"], [read_scan(corpus / labelled_name)],
+                    protocol="batchwise", include_fused=True)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus),
+                 "--protocol", "batchwise", "--fused"]) == 0
+    scored = strict_json(capsys.readouterr().out)
+    for view in ("range", "voxel", "fused"):
+        assert scored[view]["miou"] == want[view]["miou"]
+        assert 0.0 <= scored[view]["miou"] <= 1.0
 
 
 def test_eval_of_unlabelled_split_exit_2(tmp_path, ini, capsys):

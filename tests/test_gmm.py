@@ -186,6 +186,32 @@ def test_prototype_first_moment_matches_mixture():
         assert (np.abs(draws.mean(axis=0) - mean) <= 4 * sigma / math.sqrt(n)).all()
 
 
+def looped_prototypes(bank, y, count, rng, normalize=True):
+    """The reference: sample_prototypes drawing one prototype at a time."""
+    means, covs = bank.ema_means[y], bank.ema_covs[y]
+    comps = rng.choice(bank.num_components, size=count, p=bank.priors[y])
+    chols = [np.linalg.cholesky(covs[j]) for j in range(bank.num_components)]
+    eps = rng.normal(size=(count, bank.dim))
+    out = np.empty((count, bank.dim))
+    for i in range(count):
+        out[i] = means[comps[i]] + chols[comps[i]] @ eps[i]
+    if normalize:
+        norms = np.linalg.norm(out, axis=1, keepdims=True)
+        norms[norms == 0] = 1.0
+        out = out / norms
+    return out
+
+
+@pytest.mark.parametrize("dim,components,count", [(3, 2, 1), (4, 5, 7), (8, 5, 8), (16, 3, 33)])
+def test_stacked_prototype_draw_equals_per_sample_loop(dim, components, count):
+    bank = ready_bank(3, dim=dim, components=components, seed=dim)
+    for y in range(3):
+        for normalize in (False, True):
+            got = sample_prototypes(bank, y, count, np.random.default_rng(y), normalize)
+            want = looped_prototypes(bank, y, count, np.random.default_rng(y), normalize)
+            assert np.array_equal(got, want)
+
+
 def test_prototype_normalized_rows_are_unit():
     bank = known_bank()
     draws = sample_prototypes(bank, 0, 64, np.random.default_rng(0))
@@ -348,6 +374,65 @@ def test_contrastive_gradient_matches_fd():
         num = (hi - lo) / 2e-5
         g = grad.reshape(-1)[i]
         assert abs(num - g) / max(abs(num), abs(g), 1e-4) < 1e-4
+
+
+def per_class_contrastive(anchors, bank, prototypes_per_class, temperature, rng):
+    """The reference: the prototype contrast built class by class, each ready
+    class's anchors gathered and scored against its own and the other
+    classes' prototypes in two products."""
+    ready = bank.ready_classes()
+    if len(ready) < 2 or anchors.count == 0:
+        return Tensor(0.0)
+    protos = {y: sample_prototypes(bank, y, prototypes_per_class, rng) for y in ready}
+    inv_t = 1.0 / temperature
+    total = None
+    pair_count = 0
+    for y in ready:
+        rows = np.nonzero(anchors.labels == y)[0]
+        if rows.size == 0:
+            continue
+        a = ad.take_rows(anchors.z, rows)
+        pos = protos[y]
+        neg = np.concatenate([protos[c] for c in ready if c != y], axis=0)
+        pos_logits = ad.mul(ad.matmul(a, pos.T), inv_t)
+        neg_logits = ad.mul(ad.matmul(a, neg.T), inv_t)
+        neg_sum = ad.tsum(ad.exp(neg_logits), axis=1, keepdims=True)
+        per_pair = ad.sub(ad.log(ad.add(ad.exp(pos_logits), neg_sum)), pos_logits)
+        term = ad.tsum(per_pair)
+        total = term if total is None else ad.add(total, term)
+        pair_count += rows.size * pos.shape[0]
+    if total is None:
+        return Tensor(0.0)
+    return ad.mul(total, 1.0 / pair_count)
+
+
+@pytest.mark.parametrize("case", ["unready_anchor_class", "two_ready", "ppc_not_multiple_of_8",
+                                  "zero_row"])
+def test_contrastive_equals_per_class_reference(case):
+    rng = np.random.default_rng(21)
+    classes = 2 if case == "two_ready" else 4
+    ppc = 5 if case == "ppc_not_multiple_of_8" else 8
+    n = 40
+    bank = ready_bank(classes, dim=8, components=3, seed=7)
+    if case == "unready_anchor_class":
+        bank.initialized[1] = False
+    z = rng.normal(size=(n, 8))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    if case == "zero_row":
+        z[3] = 0.0
+    labels = rng.integers(0, classes, size=n)
+    results = []
+    for build in (contrastive_loss, per_class_contrastive):
+        anchors = AnchorSet(z=Tensor(z.copy(), requires_grad=True), labels=labels,
+                            num_easy=n, num_hard=0)
+        loss = build(anchors, bank, ppc, 0.1, np.random.default_rng(5))
+        loss.backward()
+        results.append((float(loss.data), anchors.z.grad))
+    (got, got_grad), (want, want_grad) = results
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=0)
+    if case == "unready_anchor_class":
+        assert (got_grad[labels == 1] == 0).all() and (got_grad[labels != 1] != 0).all()
 
 
 def test_contrastive_needs_two_ready_classes():

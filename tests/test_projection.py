@@ -115,17 +115,18 @@ def test_voxel_channels_are_member_means():
     h, w, l = vox.voxel_of_point[0]
     assert vox.grid[h, w, l].tolist() == pytest.approx([5.5, 5.5, 0.0, 0.0, 0.3])
     assert vox.occupied.sum() == 1
-    assert vox.member_order[vox.member_starts[0]:vox.member_starts[1]].tolist() == [0, 1]
+    assert vox.cell_of_point.tolist() == [0, 0]
 
 
 def test_voxel_member_partition():
     scan = generate_scene(SceneConfig(points_per_scan=500, rng_seed=9))
     vox = project_to_voxel(scan, SENSOR)
-    assert np.array_equal(np.sort(vox.member_order), np.arange(500))
-    assert vox.member_starts[-1] == 500
-    # each point's recorded voxel agrees with the CSR grouping
+    # every point sits in exactly one occupied voxel, and every occupied voxel has a member
+    assert vox.cell_of_point.shape == (500,)
+    assert np.array_equal(np.unique(vox.cell_of_point), np.arange(vox.num_cells))
+    # each point's recorded voxel agrees with the grouping
     for j, flat in enumerate(vox.cell_ids[:20]):
-        ids = vox.member_order[vox.member_starts[j]:vox.member_starts[j + 1]]
+        ids = np.flatnonzero(vox.cell_of_point == j)
         h, w, l = np.unravel_index(flat, vox.shape)
         assert (vox.voxel_of_point[ids] == [h, w, l]).all()
 
@@ -278,7 +279,7 @@ def test_projection_deterministic():
     assert np.array_equal(a.grid, b.grid)
     va, vb = project_to_voxel(scan, SENSOR), project_to_voxel(scan, SENSOR)
     assert np.array_equal(va.grid, vb.grid)
-    assert np.array_equal(va.member_order, vb.member_order)
+    assert np.array_equal(va.cell_of_point, vb.cell_of_point)
 
 
 def test_valid_mask_matches_coverage():
