@@ -18,6 +18,7 @@ WORK_DIR must not exist yet.  Output: one `sha256  path` line per file,
 paths relative to WORK_DIR.  Output bytes also depend on the BLAS thread
 count, so the script sets OPENBLAS_NUM_THREADS=1 in its own environment
 before numpy loads; listings made on any machine are then comparable.
+tests/test_output_hashes.py runs it against the committed listing.
 """
 
 import contextlib

@@ -237,23 +237,6 @@ def take_rows(a, idx) -> Tensor:
     return Tensor(out_data, _parents=(a,), _push=push)
 
 
-def take_at(a, rows, cols) -> Tensor:
-    """out[k] = a[rows[k], cols[k]] for a 2-d operand."""
-    a = _wrap(a)
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out_data = a.data[rows, cols]
-
-    def push(g):
-        if not a.needs_grad:
-            return
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, (rows, cols), g)
-        _accum(a, buf)
-
-    return Tensor(out_data, _parents=(a,), _push=push)
-
-
 def concat_rows(parts) -> Tensor:
     parts = [_wrap(p) for p in parts]
     if not parts:
@@ -268,13 +251,6 @@ def concat_rows(parts) -> Tensor:
             off += s
 
     return Tensor(out_data, _parents=tuple(parts), _push=push)
-
-
-def detached_sign_abs(a) -> Tensor:
-    """|a| with the sign taken from the forward value (constant in backward)."""
-    a = _wrap(a)
-    sign = np.sign(a.data)
-    return mul(a, sign)
 
 
 def normalize_rows(a, eps=1e-12) -> Tensor:

@@ -5,7 +5,8 @@ malformed data files (a checkpoint whose outputs overflow included) and
 any other file-system error, 3 for numeric failures during training.
 Settings come from a UTF-8 INI file with [scene], [sensor], [train], and
 [data] sections; every key must match a known field, values are plain
-text in the field's type (tuples comma-separated, booleans true/false).
+text in the field's type (tuples comma-separated, booleans true/false,
+numbers finite).
 """
 
 from __future__ import annotations
@@ -71,9 +72,13 @@ def _coerce(text: str, typ, key: str):
         if typ is int:
             return int(text)
         if typ is float:
-            return float(text)
+            value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {text!r}") from None
+    if typ is float:
+        if not math.isfinite(value):
+            raise ConfigError(f"{key}: not a finite number: {text!r}")
+        return value
     if typ is str:
         return text
     raise ConfigError(f"{key}: unsupported option type {typ!r}")
@@ -220,10 +225,16 @@ def _load_splits(data_dir, manifest: dict, splits, layout=None) -> list[list[Poi
     return out
 
 
+def _check_scorable(scans, split):
+    """A split to score must hold a labelled point: no point, no mIoU."""
+    if all((scan.labels == UNLABELLED).all() for scan in scans):
+        raise FormatError(f"the {split!r} scans have no labelled point to score")
+
+
 def _load_training_splits(data_dir, manifest: dict):
     """The three splits for train and ablate.  The labelled split must be
     non-empty and label every point: a cell with no labelled point would
-    train as class 0."""
+    train as class 0.  A non-empty eval split must be scorable."""
     labelled, unlabelled, eval_scans = _load_splits(data_dir, manifest, SPLITS)
     if not labelled:
         raise FormatError("manifest lists no 'labelled' scans; training needs at least one")
@@ -232,6 +243,8 @@ def _load_training_splits(data_dir, manifest: dict):
         if missing:
             raise FormatError(f"{Path(data_dir) / name}: {missing} of {scan.num_points} points "
                               f"are unlabelled; a labelled-split scan must label every point")
+    if eval_scans:
+        _check_scorable(eval_scans, "eval")
     return labelled, unlabelled, eval_scans
 
 
@@ -303,8 +316,7 @@ def _cmd_eval(args) -> int:
                            (state.num_classes, state.num_point_features))
     if not scans:
         raise FormatError(f"manifest lists no {args.split!r} scans")
-    if all((scan.labels == UNLABELLED).all() for scan in scans):
-        raise FormatError(f"the {args.split!r} scans have no labelled point to score")
+    _check_scorable(scans, args.split)
     try:
         result = trainer_mod.evaluate(state, manifest["sensor"], scans,
                                       protocol=args.protocol, include_fused=args.fused)

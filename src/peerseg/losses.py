@@ -21,16 +21,19 @@ the errors; on hard 0/1 predictions the value reduces exactly to
 
 Each scan is one block: its present classes by its cells, sorted row by
 row with one stable argsort of the errors.  The blocks' sorted (row,
-column) pairs, raveled class-major, feed a single gather, so the errors
-reach the tape already in order: scan, ascending class, decreasing error.
+column) pairs, raveled class-major, index the probabilities already in
+order: scan, ascending class, decreasing error.
+
+Each term is one tape node whose push assigns into a zero buffer once,
+since its (row, column) pairs are unique.  It writes 0.0 - x, not -x, so a
+zero adjoint is +0.0, as accumulating into the zeros would leave it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, log_softmax
+from .autodiff import Tensor, _accum, add, exp, log_softmax
 from .projection import cross_transfer
 
 
@@ -65,7 +68,7 @@ def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
 
     ``probs`` stacks every scan's covered cells; ``slices`` lists each
     scan's (start, stop) row range and ``targets`` aligns with the rows.
-    Built as one flat gather of every scan's errors in sorted order.
+    One tape node over every scan's errors in sorted order.
     """
     targets = np.asarray(targets, dtype=np.int64)
     rows_parts, cols_parts, fg_parts, weight_parts = [], [], [], []
@@ -85,9 +88,17 @@ def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
         weight_parts.append((_lovasz_weights(fg) * scale).ravel())
     if not rows_parts:
         return Tensor(0.0)
-    picked = ad.take_at(probs, np.concatenate(rows_parts), np.concatenate(cols_parts))
-    errors = ad.detached_sign_abs(ad.sub(np.concatenate(fg_parts), picked))
-    return ad.tsum(ad.mul(errors, np.concatenate(weight_parts)))
+    rows, cols = np.concatenate(rows_parts), np.concatenate(cols_parts)
+    weights = np.concatenate(weight_parts)
+    diff = np.concatenate(fg_parts) - probs.data[rows, cols]
+    sign = np.sign(diff)  # fixed at its forward value: the errors are |diff|
+
+    def push(g):
+        buf = np.zeros_like(probs.data)
+        buf[rows, cols] = 0.0 - g * weights * sign
+        _accum(probs, buf)
+
+    return Tensor((diff * sign * weights).sum(), _parents=(probs,), _push=push)
 
 
 def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
@@ -108,6 +119,12 @@ def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
     ce_w = np.empty(targets.shape[0])
     for start, stop in slices:
         ce_w[start:stop] = 1.0 / (num_scans * max(stop - start, 1))
-    picked = ad.take_at(logp, np.arange(targets.shape[0]), targets)
-    ce = ad.mul(ad.tsum(ad.mul(picked, ce_w)), -1.0)
-    return ad.add(ce, lovasz_set_loss(ad.exp(logp), targets, slices))
+    cells = np.arange(targets.shape[0])
+
+    def push(g):
+        buf = np.zeros_like(logp.data)
+        buf[cells, targets] = 0.0 - g * ce_w
+        _accum(logp, buf)
+
+    ce = Tensor((logp.data[cells, targets] * ce_w).sum() * -1.0, _parents=(logp,), _push=push)
+    return add(ce, lovasz_set_loss(exp(logp), targets, slices))

@@ -347,12 +347,13 @@ def load_checkpoint(path):
             raise FormatError(f"tensor {name!r} holds non-finite values")
     if rd.off != len(blob):
         raise FormatError("trailing bytes after payload", offset=rd.off)
-    if "meta/dims" not in tensors:
-        raise FormatError("missing meta/dims record")
+    for meta in ("meta/dims", "meta/input_scale"):
+        if meta not in tensors:
+            raise FormatError(f"missing {meta} record")
     c, y, hid_r, hid_v, z = _checked_dims(tensors["meta/dims"], len(blob) // 8)
     try:
         state = init_model(c, y, hid_r, hid_v, z, seed=0,
-                           input_scale=tensors.get("meta/input_scale"))
+                           input_scale=tensors["meta/input_scale"])
     except ValueError as exc:
         raise FormatError(f"meta/input_scale: {exc}") from None
     for name, t in state.named_parameters():

@@ -78,6 +78,8 @@ class TrainConfig:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if self.base_lr <= 0:
             raise ConfigError("base_lr must be positive")
+        if min(self.warmup_epochs, self.pseudo_ramp_epochs) < 0:
+            raise ConfigError("warmup_epochs and pseudo_ramp_epochs must be >= 0")
         if min(self.anchor_cap, self.prototypes_per_class, self.embed_subsample_cap,
                self.gmm_components, self.embed_dim, self.hidden_range,
                self.hidden_voxel) < 1:

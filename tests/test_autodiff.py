@@ -161,18 +161,6 @@ def test_take_rows_accumulates_duplicates():
     assert a.grad[3].tolist() == [0.0, 0.0, 0.0]
 
 
-def test_take_at_grads():
-    rng = np.random.default_rng(7)
-    a = rand_param(rng, 5, 4)
-    rows = np.array([0, 0, 3, 4, 3])
-    cols = np.array([1, 1, 2, 0, 2])
-    fd_check(lambda: mean(ad.take_at(a, rows, cols)), [a])
-    a.zero_grad()
-    loss = ad.tsum(ad.take_at(a, rows, cols))
-    loss.backward()
-    assert a.grad[0, 1] == 2.0 and a.grad[3, 2] == 2.0 and a.grad[1, 1] == 0.0
-
-
 def test_concat_rows_grads():
     rng = np.random.default_rng(9)
     a = rand_param(rng, 2, 3)
@@ -234,15 +222,6 @@ def test_normalize_rows_equals_chain_reference(zero_row):
     np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=0)
     if zero_row:
         assert (got[2] == 0).all() and got_grad[2] == pytest.approx(upstream[2] * 1e6)
-
-
-def test_detached_sign_abs_value_and_grad():
-    a = Tensor(np.array([[-2.0, 3.0]]), requires_grad=True)
-    out = ad.detached_sign_abs(a)
-    assert out.data.tolist() == [[2.0, 3.0]]
-    ad.tsum(out).backward()
-    # sign is frozen at the forward value, so the gradient is just the sign
-    assert a.grad.tolist() == [[-1.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------

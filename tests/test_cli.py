@@ -108,6 +108,37 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("command, section, setting", [
+    ("gen", "scene", "z_jitter = inf"),
+    ("gen", "scene", "intensity_jitter = nan"),
+    ("gen", "scene", "pole_height = nan"),
+    ("gen", "scene", "noise_sigma = nan"),
+    ("gen", "scene", "pole_rho = 4.0, inf"),
+    ("gen", "sensor", "fov_down = -inf"),
+    ("train", "train", "base_lr = nan"),
+    ("train", "train", "base_lr = inf"),
+    ("train", "train", "warmup_epochs = -3"),
+    ("train", "train", "pseudo_ramp_epochs = -2"),
+], ids=lambda v: v.replace(" ", "") if "=" in v else v)
+def test_non_finite_or_negative_settings_exit_1(tmp_path, ini, capsys, command, section,
+                                                setting):
+    key, head = setting.split()[0], f"[{section}]\n"
+    text = "".join(line for line in BASE_INI.splitlines(keepends=True)
+                   if not line.startswith(key + " "))
+    text = (text.replace(head, head + setting + "\n") if head in text
+            else text + "\n" + head + setting + "\n")
+    bad = tmp_path / "bad.ini"
+    bad.write_text(text)
+    argv = ["gen", "--out", str(tmp_path / "corpus")]
+    if command == "train":
+        argv = ["train", "--data", str(gen_corpus(tmp_path, ini)), "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert main(argv + ["--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("error:") and key in captured.err
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -485,6 +516,20 @@ def test_empty_labelled_split_exit_2(tmp_path, ini, capsys, command, out):
     assert main([command, "--data", str(corpus), "--out", str(tmp_path / out),
                  "--config", ini]) == 2
     assert "no 'labelled' scans" in capsys.readouterr().err
+
+
+@TRAINING_COMMANDS
+def test_eval_split_with_no_labelled_point_exit_2(tmp_path, ini, capsys, command, out):
+    corpus = gen_corpus(tmp_path, ini)
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["eval"] = manifest["unlabelled"]
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main([command, "--data", str(corpus), "--out", str(tmp_path / out),
+                 "--config", ini]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no labelled point" in captured.err
+    assert not (tmp_path / out).exists()
 
 
 def test_zero_point_scan_in_every_split_trains_and_evals(tmp_path, ini, capsys):

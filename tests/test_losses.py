@@ -87,6 +87,26 @@ def test_set_supervised_loss_averages_scans():
     assert float(set_supervised_loss(T(logits), targets, []).data) == 0.0
 
 
+def take_at(a, rows, cols):
+    """out[k] = a[rows[k], cols[k]], its push accumulating into zeros with
+    np.add.at: the gather both loss terms were built on before each became
+    one node."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+
+    def push(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, (rows, cols), g)
+        ad._accum(a, buf)
+
+    return Tensor(a.data[rows, cols], _parents=(a,), _push=push)
+
+
+def detached_sign_abs(a):
+    """|a| with the sign taken from the forward value (constant in backward)."""
+    return ad.mul(a, np.sign(a.data))
+
+
 def log_softmax_chain(logits):
     """Log softmax as five tape ops: the reference the one-node op must match."""
     shift = ad.sub(logits, logits.data.max(axis=1, keepdims=True))
@@ -103,7 +123,7 @@ def test_log_softmax_equals_the_five_op_chain_bit_for_bit():
         logits = T(data)
         logp = build(logits)
         # both consumers of the supervised loss: a cross-entropy gather and exp
-        loss = ad.add(ad.tsum(ad.take_at(logp, np.arange(9), targets)),
+        loss = ad.add(ad.tsum(take_at(logp, np.arange(9), targets)),
                       ad.tsum(ad.mul(ad.exp(logp), weights)))
         loss.backward()
         results.append((logp.data, logits.grad))
@@ -228,7 +248,7 @@ def per_segment_lovasz(probs, targets, slices):
         return Tensor(0.0)
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
-    errors = ad.detached_sign_abs(ad.sub(np.concatenate(fg_parts), ad.take_at(probs, rows, cols)))
+    errors = detached_sign_abs(ad.sub(np.concatenate(fg_parts), take_at(probs, rows, cols)))
     perm = np.empty(rows.shape[0], dtype=np.int64)
     weights = np.empty(rows.shape[0])
     present = {start: sum(s == start for s, _ in segments) for start, _ in segments}
@@ -286,6 +306,47 @@ def test_lovasz_block_sort_equals_per_segment_reference_bit_for_bit(case):
         assert grad is None
     else:
         assert grad.tobytes() == want_grad.tobytes()
+
+
+def chain_set_supervised_loss(logits, targets, slices):
+    """The supervised objective as a chain of generic tape ops: a weighted
+    cross-entropy gather plus the per-segment Lovasz chain."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if not slices:
+        return Tensor(0.0)
+    logp = log_softmax(logits)
+    ce_w = np.empty(targets.shape[0])
+    for start, stop in slices:
+        ce_w[start:stop] = 1.0 / (len(slices) * max(stop - start, 1))
+    picked = take_at(logp, np.arange(targets.shape[0]), targets)
+    ce = ad.mul(ad.tsum(ad.mul(picked, ce_w)), -1.0)
+    return ad.add(ce, per_segment_lovasz(ad.exp(logp), targets, slices))
+
+
+def value_and_grad_bytes(build, data, scale):
+    x = T(data)
+    loss = build(x)
+    if scale is not None:
+        loss = ad.mul(loss, scale)
+    if loss.needs_grad:
+        loss.backward()
+    return loss.data.tobytes(), None if x.grad is None else x.grad.tobytes()
+
+
+@pytest.mark.parametrize("scale", [None, 0.7])
+@pytest.mark.parametrize("case", list(lovasz_cases()), ids=lambda case: case[0])
+def test_loss_nodes_equal_the_op_chains_bit_for_bit(case, scale):
+    # scale 0.7 puts an upstream gradient other than 1 into each node's push
+    _, kind, data, targets, slices = case
+
+    def probs(x):
+        return ad.exp(log_softmax(x)) if kind == "logits" else x
+
+    for node, chain, to_input in ((set_supervised_loss, chain_set_supervised_loss, lambda x: x),
+                                  (lovasz_set_loss, per_segment_lovasz, probs)):
+        got, want = (value_and_grad_bytes(lambda x: loss_fn(to_input(x), targets, slices),
+                                          data, scale) for loss_fn in (node, chain))
+        assert got == want
 
 
 def test_lovasz_skips_empty_scans():

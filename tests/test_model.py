@@ -273,6 +273,7 @@ CORRUPTIONS = {
     "dims_beyond_file": (b"meta/dims", [1, 4, 10 ** 6, 5, 3]),
     "name_not_utf8": (b"\xff\xfeweights", [0.0]),
     "input_scale_shape": (b"meta/input_scale", [1.0, 1.0, 1.0]),
+    "input_scale_missing": (b"meta/input_scale", None),
     "bank_tensor_missing": (b"bank/covs", None),
     "bank_shape_mismatch": (b"bank/priors", np.full((4, 3), 0.5)),
     "weights_nonfinite": (b"range/w1", np.full((5, 6), np.nan)),

@@ -1,0 +1,51 @@
+"""Byte identity: `scripts/output_hashes.py` must print the committed listing.
+
+The listing, `tests/output_hashes.golden`, holds the sha256 of every output
+of the script's six training runs, headed by the build key it was made on:
+numpy's version, the BLAS configuration numpy was built against and the CPU
+architecture.  Output bytes depend on that key, so on another key the test
+skips and names both.  A change that alters output bytes on purpose says why
+and rewrites the listing in the same commit:
+
+    PYTHONPATH=src python3 tests/test_output_hashes.py
+"""
+
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "output_hashes.py"
+GOLDEN = Path(__file__).with_name("output_hashes.golden")
+
+
+def build_key() -> list[str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"# numpy: {np.__version__}",
+            f"# blas: {blas.get('openblas configuration', blas.get('name'))}",
+            f"# machine: {platform.machine()}"]
+
+
+def run_script(work: Path) -> list[str]:
+    done = subprocess.run([sys.executable, str(SCRIPT), str(work)], capture_output=True,
+                          text=True, timeout=600, check=True)
+    return done.stdout.splitlines()
+
+
+def test_output_hashes_match_the_golden_listing(tmp_path):
+    lines = GOLDEN.read_text().splitlines()
+    key = [line for line in lines if line.startswith("# ")]
+    if key != build_key():
+        pytest.skip(f"the listing was made on {key}; this build is {build_key()}")
+    assert run_script(tmp_path / "work") == [line for line in lines if line not in key]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text("\n".join(build_key() + run_script(Path(tmp) / "work")) + "\n")
