@@ -15,20 +15,18 @@ so two checkouts run the same settings byte for byte.
     python3 scripts/output_hashes.py WORK_DIR
 
 WORK_DIR must not exist yet.  Output: one `sha256  path` line per file,
-paths relative to WORK_DIR.  Output bytes also depend on the BLAS thread
-count, so the script sets OPENBLAS_NUM_THREADS=1 in its own environment
-before numpy loads; listings made on any machine are then comparable.
-tests/test_output_hashes.py runs it against the committed listing.
+paths relative to WORK_DIR.  The program runs OpenBLAS at one thread
+itself, so listings made on machines with different core counts are
+comparable.  tests/test_output_hashes.py runs it against the committed
+listing.
 """
 
 import contextlib
 import hashlib
 import io
-import os
 import sys
 from pathlib import Path
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads; this process only
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from peerseg import cli  # noqa: E402

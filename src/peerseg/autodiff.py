@@ -222,16 +222,19 @@ def log_softmax(logits) -> Tensor:
 
 
 def take_rows(a, idx) -> Tensor:
-    """Gather rows (leading-axis entries) by an integer index array."""
+    """Gather rows (leading-axis entries) by an integer index array of
+    distinct rows, so the push assigns each gradient row once."""
     a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
+    if np.unique(idx).size != idx.size:
+        raise ValueError("take_rows needs distinct rows")
     out_data = a.data[idx]
 
     def push(g):
         if not a.needs_grad:
             return
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
+        buf[idx] = g + 0.0  # + 0.0 turns -0.0 into the +0.0 that adding into zeros gives
         _accum(a, buf)
 
     return Tensor(out_data, _parents=(a,), _push=push)

@@ -16,7 +16,6 @@ import configparser
 import csv
 import dataclasses
 import json
-import math
 import sys
 import typing
 from pathlib import Path
@@ -26,8 +25,10 @@ import numpy as np
 from . import trainer as trainer_mod
 from .errors import ConfigError, FormatError, NumericError
 from .model import load_checkpoint, save_checkpoint
+from .runtime import keep_freed_memory
 from .scans import (UNLABELLED, PointScan, SceneConfig, SensorSpec, atomic_open,
-                    generate_dataset, read_scan, split_dataset, write_scan)
+                    generate_dataset, read_scan, reject_non_finite, split_dataset,
+                    write_scan)
 from .trainer import TrainConfig
 
 MANIFEST_NAME = "manifest.json"
@@ -43,6 +44,7 @@ class DataConfig:
     labelled_fraction: float = 0.2
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.num_scans < 1 or self.eval_scans < 0:
             raise ConfigError("num_scans must be >= 1 and eval_scans >= 0")
         if not 0 < self.labelled_fraction <= 1:
@@ -72,13 +74,9 @@ def _coerce(text: str, typ, key: str):
         if typ is int:
             return int(text)
         if typ is float:
-            value = float(text)
+            return float(text)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {text!r}") from None
-    if typ is float:
-        if not math.isfinite(value):
-            raise ConfigError(f"{key}: not a finite number: {text!r}")
-        return value
     if typ is str:
         return text
     raise ConfigError(f"{key}: unsupported option type {typ!r}")
@@ -129,7 +127,8 @@ def _sensor_to_json(sensor: SensorSpec) -> dict:
 
 def _json_fits(value, typ) -> bool:
     """Whether a JSON value holds a field of type typ: an int field takes an
-    integer, a float field a finite number, and neither takes a bool."""
+    integer, a float field any number (SensorSpec rejects non-finite ones),
+    and neither takes a bool."""
     if typing.get_origin(typ) is tuple:
         args = typing.get_args(typ)
         return (isinstance(value, list) and len(value) == len(args)
@@ -138,7 +137,7 @@ def _json_fits(value, typ) -> bool:
         return False
     if typ is int:
         return isinstance(value, int)
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+    return isinstance(value, (int, float))
 
 
 def _sensor_from_json(obj: dict) -> SensorSpec:
@@ -408,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

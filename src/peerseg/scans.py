@@ -18,7 +18,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,16 @@ SCAN_VERSION = 1
 
 # Class archetypes cycle through four generators (ground, pole, wall,
 # cluster); the default per-archetype point budget shares live on SceneConfig.
+
+
+def reject_non_finite(config) -> None:
+    """Raise ConfigError naming the first float field of a config dataclass,
+    or float member of a tuple field, that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        members = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in members):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -56,6 +66,7 @@ class SensorSpec:
     z_max: float = 2.0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.num_beams < 1:
             raise ConfigError("num_beams must be >= 1")
         if not self.fov_up > self.fov_down:
@@ -98,6 +109,7 @@ class SceneConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.num_classes < 2:
             raise ConfigError("need at least two classes")
         if self.points_per_scan < 1:

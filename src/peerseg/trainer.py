@@ -41,7 +41,8 @@ from .errors import ConfigError, NumericError
 from .metrics import ConfusionMatrix, fuse_predictions
 from .projection import (cells_to_points, group_voxels, point_labels_to_grid,
                          project_to_range, project_to_voxel, voxel_point_rows)
-from .scans import PointScan, SensorSpec
+from .runtime import one_blas_thread
+from .scans import PointScan, SensorSpec, reject_non_finite
 
 METRIC_KEYS = ("epoch", "lr", "loss_total", "loss_range_labelled", "loss_range_pseudo",
                "loss_voxel_labelled", "loss_voxel_pseudo", "loss_contrastive",
@@ -72,6 +73,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        reject_non_finite(self)
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.optimizer not in ("sgd", "adamw"):
@@ -140,6 +142,7 @@ def _lasermix_cells(batch, labels, sensor, y_count):
 MIXERS = (_cutmix_cells, _lasermix_cells)
 
 
+@one_blas_thread()
 def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
           eval_scans=None):
     """Train both views; returns (model state, mixture bank, metric records).
@@ -147,6 +150,8 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     ``labelled`` must be non-empty; ``unlabelled`` feeds the peer-supervision
     and contrastive terms when enabled.  One metrics record per epoch with a
     fixed key set; held-out mIoU entries are None when no eval scans are given.
+    Runs with OpenBLAS at one thread, so the outputs do not depend on the
+    machine's core count.
     """
     if not labelled:
         raise ConfigError("need at least one labelled scan")
@@ -341,8 +346,10 @@ def _evaluate_bundles(state, bundles, y_count, protocol="global", include_fused=
             for v, s in scores.items()}
 
 
+@one_blas_thread()
 def evaluate(state, sensor, scans, protocol="global", include_fused=False):
-    """Per-view (optionally fused) IoU metrics over labelled scans."""
+    """Per-view (optionally fused) IoU metrics over labelled scans, computed
+    with OpenBLAS at one thread."""
     if not scans:
         raise ConfigError("need at least one scan to evaluate")
     # one scan at a time, so memory does not grow with the split

@@ -149,16 +149,31 @@ def test_linear_equals_matmul_add_leaky_relu_bit_for_bit(slope, x_needs_grad):
 # gathers, concat, norms
 # ---------------------------------------------------------------------------
 
-def test_take_rows_accumulates_duplicates():
+def test_take_rows_grads_and_rejects_duplicates():
     rng = np.random.default_rng(6)
     a = rand_param(rng, 4, 3)
-    idx = np.array([0, 2, 2, 1, 2])
+    idx = np.array([2, 0, 3])
     fd_check(lambda: mean(ad.take_rows(a, idx)), [a])
     a.zero_grad()
-    loss = ad.tsum(ad.take_rows(a, idx))
-    loss.backward()
-    assert a.grad[2].tolist() == [3.0, 3.0, 3.0]
-    assert a.grad[3].tolist() == [0.0, 0.0, 0.0]
+    ad.tsum(ad.take_rows(a, idx)).backward()
+    assert a.grad[1].tolist() == [0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="distinct"):
+        ad.take_rows(a, np.array([0, 2, 2]))
+
+
+def test_take_rows_push_equals_add_at_bit_for_bit():
+    """Assigning each row once gives the bytes of np.add.at into zeros,
+    +0.0 where the upstream gradient holds -0.0 included."""
+    rng = np.random.default_rng(7)
+    a = rand_param(rng, 6, 4)
+    idx = np.array([5, 1, 2, 4])
+    upstream = rng.normal(size=(4, 4))
+    upstream[0, 1] = upstream[2, 3] = -0.0
+    ad.tsum(ad.mul(ad.take_rows(a, idx), upstream)).backward()
+    want = np.zeros_like(a.data)
+    np.add.at(want, idx, upstream * 1.0)
+    assert a.grad.tobytes() == want.tobytes()
+    assert np.signbit(a.grad[[5, 2], [1, 3]]).tolist() == [False, False]
 
 
 def test_concat_rows_grads():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from peerseg.cli import load_config, main, read_manifest
+from peerseg.cli import DataConfig, load_config, main, read_manifest
 from peerseg.errors import ConfigError, FormatError
 from peerseg.model import init_model, save_checkpoint
 from peerseg.scans import UNLABELLED, PointScan, read_scan, write_scan
@@ -106,6 +106,12 @@ def test_load_config_rejects_bad_values(tmp_path):
     path.write_text("[sensor]\nvoxel_dims = 8, 12\n")
     with pytest.raises(ConfigError, match="expected 3"):
         load_config(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_data_config_rejects_non_finite_numbers(value):
+    with pytest.raises(ConfigError, match="labelled_fraction must be finite"):
+        DataConfig(labelled_fraction=value)
 
 
 @pytest.mark.parametrize("command, section, setting", [

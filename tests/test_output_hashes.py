@@ -2,8 +2,9 @@
 
 The listing, `tests/output_hashes.golden`, holds the sha256 of every output
 of the script's six training runs, headed by the build key it was made on:
-numpy's version, the BLAS configuration numpy was built against and the CPU
-architecture.  Output bytes depend on that key, so on another key the test
+numpy's version, the BLAS configuration numpy was built against, the CPU
+kernel the loaded OpenBLAS picked at run time and the CPU architecture.
+Output bytes depend on that key, so on another key the test
 skips and names both.  A change that alters output bytes on purpose says why
 and rewrites the listing in the same commit:
 
@@ -18,6 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from peerseg.runtime import openblas
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "output_hashes.py"
 GOLDEN = Path(__file__).with_name("output_hashes.golden")
@@ -25,8 +28,11 @@ GOLDEN = Path(__file__).with_name("output_hashes.golden")
 
 def build_key() -> list[str]:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    loaded = openblas()
+    core = loaded.get_corename().decode() if loaded else None
     return [f"# numpy: {np.__version__}",
             f"# blas: {blas.get('openblas configuration', blas.get('name'))}",
+            f"# openblas core: {core}",
             f"# machine: {platform.machine()}"]
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from peerseg import UNLABELLED, ConfigError, FormatError, PointScan, SceneConfig
+from peerseg import UNLABELLED, ConfigError, FormatError, PointScan, SceneConfig, SensorSpec
 from peerseg.scans import (_class_counts, generate_dataset, generate_scene, read_scan,
                            split_dataset, write_scan)
 from dataclasses import replace
@@ -9,6 +9,23 @@ from dataclasses import replace
 
 def small_cfg(**kw):
     return SceneConfig(points_per_scan=kw.pop("points_per_scan", 400), **kw)
+
+
+# ---------------------------------------------------------------------------
+# configs
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cls, field, value", [
+    (SceneConfig, "noise_sigma", float("nan")),
+    (SceneConfig, "pole_height", float("inf")),
+    (SceneConfig, "pole_rho", (4.0, float("inf"))),
+    (SceneConfig, "archetype_shares", (0.4, float("nan"), 0.2, 0.2)),
+    (SensorSpec, "fov_down", float("-inf")),
+    (SensorSpec, "z_max", float("nan")),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_configs_reject_non_finite_numbers(cls, field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        cls(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -50,6 +50,12 @@ def test_config_validation():
         TrainConfig(prototypes_per_class=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_numbers(value):
+    with pytest.raises(ConfigError, match="base_lr must be finite"):
+        TrainConfig(base_lr=value)
+
+
 def test_train_needs_labelled_scans():
     with pytest.raises(ConfigError):
         train(small_config(), SENSOR, [], [])
