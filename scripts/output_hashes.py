@@ -1,4 +1,4 @@
-"""Byte-identity protocol: hash every output of six fixed training runs.
+"""Byte-identity protocol: hash every output of seven fixed training runs.
 
 A refactor that must not change what the program computes runs this script
 on the parent commit and on the change and compares the printed lines.
@@ -7,10 +7,13 @@ It generates one corpus (the acceptance recipe's scene, a 64x192 range
 image, 60 scans with 20 % labelled plus 10 eval scans, seed 0), then trains
 six configs for 8 epochs with seed 0: the four ablation rows, `adamw` with
 batch 3 and learning rate 0.01, and `pseudo_ramp_epochs = 3` with batch 5.
-Each trained model is scored with `eval --fused` under the global and the
-batchwise protocol.  Every command goes through `peerseg.cli.main` of the
-`src/` tree beside this script, and the INI text is written from this file,
-so two checkouts run the same settings byte for byte.
+A second corpus of the same scenes, on the sparse grids of the benchmark's
+`ssl-sparse` workload (a 64x512 image, 40x120x16 voxels), trains the
+`cross+ctr+aug` row once more.  Each trained model is scored with
+`eval --fused` under the global and the batchwise protocol.  Every command
+goes through `peerseg.cli.main` of the `src/` tree beside this script, and
+the INI text is written from this file, so two checkouts run the same
+settings byte for byte.
 
     python3 scripts/output_hashes.py WORK_DIR
 
@@ -45,7 +48,8 @@ archetype_shares = 0.40, 0.18, 0.24, 0.18
 
 [sensor]
 image_height = 64
-image_width = 192
+image_width = {image_width}
+voxel_dims = {voxel_dims}
 
 [data]
 num_scans = 60
@@ -65,6 +69,7 @@ ROWS = {
     "adamw": "optimizer = adamw\nbatch_size = 3\nbase_lr = 0.01\n",
     "ramp": "pseudo_ramp_epochs = 3\nbatch_size = 5\n",
 }
+SPARSE_ROW = "cross+ctr+aug"
 
 
 def _run(argv) -> str:
@@ -76,29 +81,42 @@ def _run(argv) -> str:
     return out.getvalue()
 
 
+def _gen(work: Path, name: str, image_width: int, voxel_dims: str) -> Path:
+    ini = work / f"{name}.ini"
+    ini.write_text(CORPUS_INI.format(image_width=image_width, voxel_dims=voxel_dims))
+    corpus = work / name
+    _run(["gen", "--out", str(corpus), "--config", str(ini), "--seed", "0"])
+    return corpus
+
+
+def _train_and_eval(work: Path, name: str, settings: str, corpus: Path) -> list:
+    """Train one config on a corpus and score it; the paths of its outputs."""
+    ini = work / f"{name}.ini"
+    ini.write_text(f"[train]\nepochs = 8\n{settings}")
+    run = work / name
+    _run(["train", "--data", str(corpus), "--out", str(run), "--config", str(ini),
+          "--seed", "0"])
+    outputs = [run / "metrics.jsonl", run / "model.it2m"]
+    for protocol in ("global", "batchwise"):
+        path = run / f"eval_{protocol}.json"
+        path.write_text(_run(["eval", "--model", str(run / "model.it2m"),
+                              "--data", str(corpus), "--protocol", protocol, "--fused"]))
+        outputs.append(path)
+    return outputs
+
+
 def main(work: Path) -> None:
     try:
         work.mkdir(parents=True)
     except FileExistsError:
         raise SystemExit(f"{work} already exists; give a WORK_DIR that does not") from None
-    corpus_ini = work / "corpus.ini"
-    corpus_ini.write_text(CORPUS_INI)
-    corpus = work / "corpus"
-    _run(["gen", "--out", str(corpus), "--config", str(corpus_ini), "--seed", "0"])
+    corpus = _gen(work, "corpus", 192, "16, 24, 8")
     outputs = [corpus / cli.MANIFEST_NAME]
     for name, settings in ROWS.items():
-        ini = work / f"{name}.ini"
-        ini.write_text(f"[train]\nepochs = 8\n{settings}")
-        run = work / name
-        _run(["train", "--data", str(corpus), "--out", str(run), "--config", str(ini),
-              "--seed", "0"])
-        outputs += [run / "metrics.jsonl", run / "model.it2m"]
-        for protocol in ("global", "batchwise"):
-            path = run / f"eval_{protocol}.json"
-            path.write_text(_run(["eval", "--model", str(run / "model.it2m"),
-                                  "--data", str(corpus), "--protocol", protocol,
-                                  "--fused"]))
-            outputs.append(path)
+        outputs += _train_and_eval(work, name, settings, corpus)
+    sparse = _gen(work, "sparse", 512, "40, 120, 16")
+    outputs.append(sparse / cli.MANIFEST_NAME)
+    outputs += _train_and_eval(work, f"sparse-{SPARSE_ROW}", ROWS[SPARSE_ROW], sparse)
     for path in outputs:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(work)}")

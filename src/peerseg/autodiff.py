@@ -186,7 +186,7 @@ def linear(x, w, b, slope=None) -> Tensor:
     out_data += b.data
     factor = None
     if slope is not None:
-        factor = np.where(out_data >= 0, 1.0, slope)
+        factor = (out_data >= 0) * (1.0 - slope) + slope  # exactly 1.0 or slope
         out_data *= factor
 
     def push(g):

@@ -20,9 +20,12 @@ the errors; on hard 0/1 predictions the value reduces exactly to
 1 - Jaccard per present class.
 
 Each scan is one block: its present classes by its cells, sorted row by
-row with one stable argsort of the errors.  The blocks' sorted (row,
-column) pairs, raveled class-major, index the probabilities already in
-order: scan, ascending class, decreasing error.
+row with one default (unstable) argsort of the errors.  Equal errors would
+leave their order to the sort, so a block whose sorted errors hold a tie
+is sorted again with a stable argsort, which keeps tied cells in cell
+order.  The blocks' sorted (row, column) pairs, raveled class-major, index
+the probabilities already in order: scan, ascending class, decreasing
+error.
 
 Each term is one tape node whose push assigns into a zero buffer once,
 since its (row, column) pairs are unique.  It writes 0.0 - x, not -x, so a
@@ -79,7 +82,10 @@ def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
         # (present classes, cells) block, each row sorted by decreasing error
         fg = (targets[start:stop] == present[:, None]).astype(np.float64)
         keys = -np.abs(fg - probs.data[start:stop, present].T)
-        order = np.argsort(keys, axis=1, kind="stable")
+        order = np.argsort(keys, axis=1)
+        ranked = np.take_along_axis(keys, order, axis=1)
+        if (ranked[:, 1:] == ranked[:, :-1]).any():  # a tie: only a stable sort fixes its order
+            order = np.argsort(keys, axis=1, kind="stable")
         fg = np.take_along_axis(fg, order, axis=1)
         scale = 1.0 / (len(slices) * present.size)
         rows_parts.append((start + order).ravel())

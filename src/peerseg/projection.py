@@ -26,7 +26,11 @@ scan) are grouped without binning again.
 Each view is stored as a cell table built from the one sort its projection
 does: the channel rows of the covered cells only, in row-major cell order,
 their sorted flat ids, each point's row (``cell_of_point``), and the
-range winners or the voxel CSR members.  No dense array is allocated; the
+range winners or the voxel CSR members.  That sort orders the points by
+(cell, point id) through the distinct keys ``cell * N + id``, so numpy's
+default unstable sort gives the stable order; a pixel's winner is then its
+first point at the pixel's least range, and a voxel's channels are summed
+in point order by ``np.bincount``.  No dense array is allocated; the
 dense grids (``grid``, ``valid``, ``point_index``, ``occupied``) are
 derived on access for inspection and never stored.
 
@@ -183,16 +187,34 @@ def project_to_range(scan: PointScan, sensor: SensorSpec) -> RangeImage:
     u = np.clip(u, 0, u_dim - 1)
     v = np.clip(v, 0, v_dim - 1)
 
-    n = scan.num_points
     flat = u * v_dim + v
-    order = np.lexsort((np.arange(n), r, flat))  # by pixel, then range, then id
-    first = np.ones(n, dtype=bool)
-    first[1:] = flat[order[1:]] != flat[order[:-1]]
-    winners = order[first]
+    order, first = _sort_by_cell(flat)
+    starts = np.flatnonzero(first)
+    r_sorted = r[order]
+    # each pixel's winner: its first point, in id order, at the pixel's least range
+    nearest = r_sorted == np.minimum.reduceat(r_sorted, starts)[np.cumsum(first) - 1]
+    n = scan.num_points
+    winners = order[np.minimum.reduceat(np.where(nearest, np.arange(n), n), starts)]
     cells = np.concatenate([r[winners, None], scan.positions[winners].astype(np.float64),
                             scan.features[winners].astype(np.float64)], axis=1)
     return RangeImage(shape=(u_dim, v_dim), cells=cells, cell_ids=flat[winners],
                       cell_of_point=_rows_of_sorted(order, first), winners=winners)
+
+
+def _sort_by_cell(flat: np.ndarray):
+    """Point ids sorted by (cell, id), and the flags that mark each cell's
+    first point in that order.
+
+    The keys ``flat * n + id`` are distinct, so numpy's default (unstable)
+    sort puts them in the one order a stable sort of ``flat`` gives.
+    ``SensorSpec`` bounds a grid to 2**31 cells, so the keys fit in int64.
+    """
+    n = flat.shape[0]
+    keys = np.sort(flat * n + np.arange(n))
+    sorted_flat = keys // n
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_flat[1:] != sorted_flat[:-1]
+    return keys % n, first
 
 
 def _rows_of_sorted(order: np.ndarray, first: np.ndarray) -> np.ndarray:
@@ -205,8 +227,8 @@ def _rows_of_sorted(order: np.ndarray, first: np.ndarray) -> np.ndarray:
 
 def _cell_means(cell_of_point: np.ndarray, num_cells: int, values: np.ndarray) -> np.ndarray:
     """Mean of per-point rows over each cell's points, summed in point order."""
-    sums = np.zeros((num_cells, values.shape[1]), dtype=np.float64)
-    np.add.at(sums, cell_of_point, values)
+    sums = np.stack([np.bincount(cell_of_point, weights=column, minlength=num_cells)
+                     for column in values.T], axis=1)
     counts = np.bincount(cell_of_point, minlength=num_cells).astype(np.float64)
     return sums / counts[:, None]
 
@@ -235,16 +257,13 @@ def _voxel_ids(point_rows: np.ndarray, sensor: SensorSpec) -> np.ndarray:
 def group_voxels(shape, flat_ids: np.ndarray, point_rows: np.ndarray) -> VoxelGrid:
     """The voxel table of points with known flat voxel ids in a grid of
     ``shape``: each occupied voxel averages its members' channel rows."""
-    order = np.argsort(flat_ids, kind="stable")
-    sorted_flat = flat_ids[order]
-    first = np.ones(flat_ids.shape[0], dtype=bool)
-    first[1:] = sorted_flat[1:] != sorted_flat[:-1]
-    starts = np.flatnonzero(first)
+    order, first = _sort_by_cell(flat_ids)
+    cell_ids = flat_ids[order[first]]
     cell_of_point = _rows_of_sorted(order, first)
     return VoxelGrid(
         shape=tuple(shape),
-        cells=_cell_means(cell_of_point, starts.shape[0], point_rows),
-        cell_ids=sorted_flat[starts],
+        cells=_cell_means(cell_of_point, cell_ids.shape[0], point_rows),
+        cell_ids=cell_ids,
         cell_of_point=cell_of_point,
     )
 

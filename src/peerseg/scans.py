@@ -26,6 +26,9 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 UNLABELLED = 0xFFFF
+# Cells of either grid view at most.  Projection sorts the keys cell * N + point
+# id in int64, and a scan holds N < 2**32 points, so the keys cannot overflow.
+MAX_GRID_CELLS = 2 ** 31
 
 SCAN_MAGIC = b"IT2S"
 SCAN_VERSION = 1
@@ -52,7 +55,7 @@ class SensorSpec:
     inclination, ``image_width`` columns span the full azimuth circle.
     ``voxel_dims`` = (radial bins H, azimuth bins W, height bins L) of the
     cylindrical voxel grid covering rho in [0, radial_max] and z in
-    [z_min, z_max].
+    [z_min, z_max].  Neither grid may hold more than ``MAX_GRID_CELLS`` cells.
     """
 
     num_beams: int = 32
@@ -76,6 +79,10 @@ class SensorSpec:
         h, w, l = self.voxel_dims
         if h < 1 or w < 1 or l < 1:
             raise ConfigError("voxel_dims must all be >= 1")
+        for view, cells in (("range image", self.image_height * self.image_width),
+                            ("voxel grid", h * w * l)):
+            if cells > MAX_GRID_CELLS:
+                raise ConfigError(f"the {view} has {cells} cells, more than 2**31")
         if not self.radial_max > 0:
             raise ConfigError("radial_max must be positive")
         if not self.z_max > self.z_min:

@@ -50,6 +50,7 @@ METRIC_KEYS = ("epoch", "lr", "loss_total", "loss_range_labelled", "loss_range_p
 LOSS_KEYS = METRIC_KEYS[2:8]
 VIEWS = ("range", "voxel")
 TEMPERATURE = 0.1                       # softmax temperature of the prototype contrast
+COLLAPSE_SHARE = 0.95                   # a class's pseudo-label share that train warns about
 
 
 @dataclass
@@ -188,6 +189,7 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
         order_unlab = np.resize(rng_data.permutation(len(unlab)),
                                 iters_per_epoch * config.batch_size) if unlab else None
         sums = {k: 0.0 for k in LOSS_KEYS}
+        pseudo_counts = np.zeros((2, y_count), dtype=np.int64)
         for it in range(iters_per_epoch):
             lr = model_mod.poly_lr(config.base_lr, global_iter, total_iters)
             batch_lab = [lab[i] for i in
@@ -195,12 +197,15 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
             batch_unlab = [unlab[i] for i in
                            order_unlab[it * config.batch_size:(it + 1) * config.batch_size]] \
                 if use_unlab else []
-            parts = _iteration(config, sensor, state, bank, batch_lab, batch_unlab,
-                               y_count, epoch, global_iter, lr, optimizer,
-                               rng_anchor, rng_proto, rng_em)
+            parts, counts = _iteration(config, sensor, state, bank, batch_lab, batch_unlab,
+                                       y_count, epoch, global_iter, lr, optimizer,
+                                       rng_anchor, rng_proto, rng_em)
             for k, v in parts.items():
                 sums[k] += v
+            pseudo_counts += counts
             global_iter += 1
+        if epoch + 1 >= config.pseudo_ramp_epochs:  # the pseudo terms ran at full weight
+            _warn_on_collapse(epoch, pseudo_counts)
 
         record = {"epoch": epoch, "lr": lr}
         record.update({k: sums[k] / iters_per_epoch for k in sums})
@@ -210,9 +215,22 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     return state, bank, metrics
 
 
+def _warn_on_collapse(epoch, pseudo_counts):
+    """A RuntimeWarning for each view whose epoch of pseudo labels one class dominates."""
+    for view, counts in zip(VIEWS, pseudo_counts):
+        total = counts.sum()
+        if total and counts.max() > COLLAPSE_SHARE * total:
+            warnings.warn(
+                f"epoch {epoch}: class {int(counts.argmax())} takes "
+                f"{counts.max() / total:.1%} of the {view} view's pseudo labels; "
+                f"peer supervision may have collapsed (pseudo_ramp_epochs delays it)",
+                RuntimeWarning)
+
+
 def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epoch,
                global_iter, lr, optimizer, rng_anchor, rng_proto, rng_em):
-    """One joint step; lists indexed by view k follow the VIEWS order."""
+    """One joint step; lists indexed by view k follow the VIEWS order.  Returns the
+    loss parts and, per view, the counts of each class among its pseudo labels."""
     params = (state.range_view, state.voxel_view)
 
     def forward(k, mats):
@@ -231,6 +249,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
                 for k in range(2)]
     loss_pse = [Tensor(0.0), Tensor(0.0)]
     loss_ctr = Tensor(0.0)
+    pseudo_counts = np.zeros((2, y_count), dtype=np.int64)
 
     if batch_unlab:
         # clean forward on the unlabelled batch; predictions detach here
@@ -244,6 +263,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
         pseudo_cells = [[p.cell_labels for p in pseudo[k]] for k in range(2)]
         pseudo_t = [np.concatenate(c) for c in pseudo_cells]
         pseudo_c = [np.concatenate([p.cell_confidence for p in pseudo[k]]) for k in range(2)]
+        pseudo_counts = np.stack([np.bincount(t, minlength=y_count) for t in pseudo_t])
         ramp = 1.0
         if config.pseudo_ramp_epochs > 0:
             ramp = min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
@@ -299,7 +319,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
     for name, labelled, pseudo_loss in zip(VIEWS, loss_lab, loss_pse):
         parts[f"loss_{name}_labelled"] = float(labelled.data)
         parts[f"loss_{name}_pseudo"] = float(pseudo_loss.data)
-    return parts
+    return parts, pseudo_counts
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ the denominator floored so near-zero gradients compare absolutely.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
@@ -118,6 +120,19 @@ def test_linear_grad_away_from_kink():
     assert out.data[0, 0] == pytest.approx(-0.5)
     ad.tsum(out).backward()
     assert neg.grad[0, 0] == pytest.approx(0.25)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(slope=st.one_of(st.just(0.01), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_leaky_factor_is_exactly_slope_or_one(slope):
+    # a 1x1 unit weight and zero bias: the output is x times the factor, and
+    # the gradient of the output's sum is the factor itself
+    x = Tensor(np.array([[-3.0], [-1e-300], [0.0], [1e-300], [2.5]]), requires_grad=True)
+    out = ad.linear(x, np.ones((1, 1)), np.zeros(1), slope)
+    ad.tsum(out).backward()
+    factor = np.array([[slope], [slope], [1.0], [1.0], [1.0]])
+    assert x.grad.tobytes() == factor.tobytes()
+    assert out.data.tobytes() == (x.data * factor).tobytes()
 
 
 @pytest.mark.parametrize("slope", [None, 0.01])

@@ -643,6 +643,33 @@ def test_manifest_sensor_fields_must_have_their_types(tmp_path, ini, capsys, key
     assert f"manifest sensor block is invalid: {key}" in capsys.readouterr().err
 
 
+OVERSIZED_GRIDS = [("image_width", 2 ** 31), ("voxel_dims", [2 ** 11, 2 ** 10, 2 ** 10 + 1])]
+
+
+@pytest.mark.parametrize("key, value", OVERSIZED_GRIDS, ids=["image", "voxels"])
+def test_grid_over_2_31_cells_in_settings_exit_1(tmp_path, capsys, key, value):
+    path = tmp_path / "big.ini"
+    text = value if isinstance(value, int) else ", ".join(map(str, value))
+    path.write_text(f"[sensor]\n{key} = {text}\n")
+    assert main(["gen", "--out", str(tmp_path / "corpus"), "--config", str(path)]) == 1
+    assert "more than 2**31" in capsys.readouterr().err
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("key, value", OVERSIZED_GRIDS, ids=["image", "voxels"])
+def test_grid_over_2_31_cells_in_manifest_exit_2(tmp_path, ini, capsys, key, value):
+    corpus = gen_corpus(tmp_path, ini)
+    save_checkpoint(tmp_path / "model.it2m", init_model(1, 3, 4, 4, 2))
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    manifest["sensor"][key] = value
+    (corpus / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(tmp_path / "model.it2m"), "--data", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert "manifest sensor block is invalid" in err and "more than 2**31" in err
+    assert "Traceback" not in err
+
+
 def test_manifest_sensor_float_fields_take_integers(tmp_path, ini):
     corpus = gen_corpus(tmp_path, ini)
     manifest = json.loads((corpus / "manifest.json").read_text())

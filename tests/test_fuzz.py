@@ -135,8 +135,24 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
+def _with_sensor(blob, key, value):
+    edited = json.loads(blob)
+    edited["sensor"][key] = value
+    return json.dumps(edited).encode()
+
+
+def grid_mutations(blob):
+    """A range image or voxel grid resized to up to 2**63 cells, often past the 2**31 bound."""
+    image = st.builds(_with_sensor, st.just(blob),
+                      st.sampled_from(["image_height", "image_width"]), st.integers(1, 2 ** 40))
+    voxels = st.builds(_with_sensor, st.just(blob), st.just("voxel_dims"),
+                       st.lists(st.integers(1, 2 ** 21), min_size=3, max_size=3))
+    return st.one_of(image, voxels)
+
+
 def manifest_mutations(blob):
-    """Byte-level mutations, or one entry (top level or sensor) replaced or dropped."""
+    """Byte-level mutations, a resized grid, or one entry (top level or sensor)
+    replaced or dropped."""
     manifest = json.loads(blob)
     paths = [(key,) for key in manifest] + [("sensor", key) for key in manifest["sensor"]]
 
@@ -150,7 +166,7 @@ def manifest_mutations(blob):
         return json.dumps(edited).encode()
 
     fields = st.builds(override, st.sampled_from(paths), JSON_VALUES | st.just(_DROP))
-    return st.one_of(mutations(blob), fields)
+    return st.one_of(mutations(blob), grid_mutations(blob), fields)
 
 
 def ini_mutations(blob):
@@ -217,6 +233,20 @@ def test_read_manifest_raises_only_format_errors(corpus, data):
     with mutated(corpus, f"corpus/{MANIFEST_NAME}", data, manifest_mutations) as path, \
             contextlib.suppress(FormatError):
         read_manifest(path.parent)
+
+
+@FUZZ
+@given(data=st.data())
+def test_read_manifest_rejects_grids_over_2_31_cells(corpus, data):
+    with mutated(corpus, f"corpus/{MANIFEST_NAME}", data, grid_mutations) as path:
+        sensor = json.loads(path.read_text())["sensor"]
+        cells = max(sensor["image_height"] * sensor["image_width"],
+                    math.prod(sensor["voxel_dims"]))
+        if cells > 2 ** 31:
+            with pytest.raises(FormatError, match=r"more than 2\*\*31"):
+                read_manifest(path.parent)
+        else:
+            read_manifest(path.parent)
 
 
 @FUZZ

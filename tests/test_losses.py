@@ -308,6 +308,19 @@ def test_lovasz_block_sort_equals_per_segment_reference_bit_for_bit(case):
         assert grad.tobytes() == want_grad.tobytes()
 
 
+def test_lovasz_block_with_ties_takes_the_stable_order():
+    # 400 cells on five probability levels: each row of the block holds long
+    # runs of equal errors, which numpy's default argsort leaves out of order
+    rng = np.random.default_rng(5)
+    probs = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(400, 3))
+    targets = rng.integers(0, 3, size=400)
+    keys = -np.abs((targets == np.arange(3)[:, None]) - probs.T)
+    assert not np.array_equal(np.argsort(keys, axis=1), np.argsort(keys, axis=1, kind="stable"))
+    got, want = (value_and_grad_bytes(lambda x: build(x, targets, one_slice(400)), probs, None)
+                 for build in (lovasz_set_loss, per_segment_lovasz))
+    assert got == want
+
+
 def chain_set_supervised_loss(logits, targets, slices):
     """The supervised objective as a chain of generic tape ops: a weighted
     cross-entropy gather plus the per-segment Lovasz chain."""

@@ -1,7 +1,7 @@
 """Byte identity: `scripts/output_hashes.py` must print the committed listing.
 
 The listing, `tests/output_hashes.golden`, holds the sha256 of every output
-of the script's six training runs, headed by the build key it was made on:
+of the script's seven training runs, headed by the build key it was made on:
 numpy's version, the BLAS configuration numpy was built against, the CPU
 kernel the loaded OpenBLAS picked at run time and the CPU architecture.
 Output bytes depend on that key, so on another key the test

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from peerseg import (PointScan, RangeImage, SceneConfig, SensorSpec, UNLABELLED,
                      cells_to_points, cross_transfer, generate_scene,
                      point_labels_to_grid, project_to_range, project_to_voxel)
+from peerseg.projection import _cell_means, group_voxels
 
 SENSOR = SensorSpec()  # 32 beams, fov +10/-30, 32x96 image, (16,24,8) voxels, 25 m
 
@@ -405,3 +406,88 @@ def test_cell_tables_match_dense_references(seed, n, image, voxels, repeats):
         want = _dense_hard(_dense_points_to_cells(view, one_hot))
         assert np.array_equal(cat.labels, want[0])
         assert np.array_equal(cat.confidence, want[1])
+
+
+# ---------------------------------------------------------------------------
+# the distinct-key sort and the bincount sums against the forms they replaced
+# ---------------------------------------------------------------------------
+
+def lexsort_range(scan, sensor):
+    """Winners, covered pixel ids and each point's row, from the three-key
+    ``np.lexsort`` by (pixel, range, point id) that project_to_range used."""
+    r, _, pix, _ = _reference_bins(scan, sensor)
+    flat = pix[:, 0] * sensor.image_width + pix[:, 1]
+    order = np.lexsort((np.arange(scan.num_points), r, flat))
+    first = np.r_[True, flat[order[1:]] != flat[order[:-1]]]
+    rows = np.empty(scan.num_points, dtype=np.int64)
+    rows[order] = np.cumsum(first) - 1
+    return order[first], flat[order[first]], rows
+
+
+def stable_argsort_groups(flat_ids):
+    """Covered cell ids and each point's row from a stable ``np.argsort``."""
+    order = np.argsort(flat_ids, kind="stable")
+    first = np.r_[True, flat_ids[order[1:]] != flat_ids[order[:-1]]]
+    rows = np.empty(flat_ids.shape[0], dtype=np.int64)
+    rows[order] = np.cumsum(first) - 1
+    return flat_ids[order[first]], rows
+
+
+def add_at_means(cell_of_point, num_cells, values):
+    sums = np.zeros((num_cells, values.shape[1]))
+    np.add.at(sums, cell_of_point, values)
+    return sums / np.bincount(cell_of_point, minlength=num_cells)[:, None]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_range_winners_equal_the_lexsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    # integer coordinates: exact ranges, so distinct points often tie in one pixel
+    n = 2000
+    pos = rng.integers(-6, 7, size=(n, 3)).astype(np.float64)
+    pos[(pos == 0).all(axis=1)] = (1.0, 2.0, 2.0)
+    pos[rng.integers(0, n, size=300)] = pos[rng.integers(0, n, size=300)]  # duplicated points
+    scan = make_scan(pos, feats=rng.uniform(size=(n, 2)))
+    sensor = SensorSpec(image_height=int(rng.integers(1, 5)), image_width=int(rng.integers(1, 9)))
+    img = project_to_range(scan, sensor)
+    winners, cell_ids, rows = lexsort_range(scan, sensor)
+    r = np.linalg.norm(pos, axis=1)
+    least = np.full(img.num_cells, np.inf)
+    np.minimum.at(least, rows, r)
+    at_least = np.bincount(rows, weights=r == least[rows])
+    assert (at_least > 1).any()  # some pixel's nearest range is held by several points
+    assert np.array_equal(img.winners, winners)
+    assert np.array_equal(img.cell_ids, cell_ids)
+    assert np.array_equal(img.cell_of_point, rows)
+    assert img.cells.tobytes() == np.concatenate(
+        [r[winners, None], pos[winners], scan.features[winners].astype(np.float64)],
+        axis=1).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_group_voxels_equals_the_stable_argsort_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 3000
+    flat_ids = rng.integers(0, 40 * 120 * 16, size=n)
+    flat_ids[rng.random(n) < 0.5] = rng.integers(0, 50, size=1)[0]  # one crowded voxel
+    flat_ids[: n // 3] = rng.integers(0, 200, size=n // 3)          # many shared ones
+    point_rows = rng.normal(scale=10.0 ** rng.integers(-3, 4, size=(n, 1)), size=(n, 6))
+    vox = group_voxels((40, 120, 16), flat_ids, point_rows)
+    cell_ids, rows = stable_argsort_groups(flat_ids)
+    assert np.array_equal(vox.cell_ids, cell_ids)
+    assert np.array_equal(vox.cell_of_point, rows)
+    assert vox.cells.tobytes() == add_at_means(rows, cell_ids.shape[0], point_rows).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cell_means_equal_add_at_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    n, num_cells = 5000, 37
+    cell_of_point = rng.integers(0, num_cells, size=n)
+    # magnitudes across twelve decades, so the sums depend on their order
+    values = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-6, 6, size=(n, 5))
+    got = _cell_means(cell_of_point, num_cells, values)
+    assert got.tobytes() == add_at_means(cell_of_point, num_cells, values).tobytes()
+    shuffled = rng.permutation(n)
+    assert got.tobytes() != add_at_means(cell_of_point[shuffled], num_cells,
+                                         values[shuffled]).tobytes()

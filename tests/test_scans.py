@@ -28,6 +28,18 @@ def test_configs_reject_non_finite_numbers(cls, field, value):
         cls(**{field: value})
 
 
+@pytest.mark.parametrize("view, at_bound, over", [
+    ("range image", {"image_height": 2 ** 16, "image_width": 2 ** 15},
+     {"image_height": 2 ** 16, "image_width": 2 ** 15 + 1}),
+    ("voxel grid", {"voxel_dims": (2 ** 11, 2 ** 10, 2 ** 10)},
+     {"voxel_dims": (2 ** 11, 2 ** 10, 2 ** 10 + 1)}),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_sensor_grids_hold_at_most_2_31_cells(view, at_bound, over):
+    SensorSpec(**at_bound)
+    with pytest.raises(ConfigError, match=rf"the {view} has \d+ cells, more than 2\*\*31"):
+        SensorSpec(**over)
+
+
 # ---------------------------------------------------------------------------
 # class budget
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from peerseg import (PointScan, RangeImage, SceneConfig, SensorSpec, TrainConfig
 from peerseg import trainer as trainer_mod
 from peerseg.errors import ConfigError
 from peerseg.projection import _CellTable
-from peerseg.trainer import ABLATION_ROWS, METRIC_KEYS
+from peerseg.trainer import ABLATION_ROWS, METRIC_KEYS, VIEWS
 
 
 SENSOR = SensorSpec()
@@ -145,6 +146,42 @@ def test_pseudo_ramp_halves_first_epoch_pseudo_loss():
         0.5 * m_plain[0]["loss_range_pseudo"], rel=1e-12)
     assert m_ramp[0]["loss_voxel_pseudo"] == pytest.approx(
         0.5 * m_plain[0]["loss_voxel_pseudo"], rel=1e-12)
+
+
+# the acceptance scene (tests/test_acceptance.py)
+RECIPE_SCENE = dict(num_classes=4, points_per_scan=600, pole_rho=(4.0, 9.0),
+                    pole_radius=0.3, pole_height=3.4, wall_distance=(11.0, 18.0),
+                    wall_height=2.0, z_jitter=0.35,
+                    archetype_shares=(0.40, 0.18, 0.24, 0.18))
+
+
+def collapse_warnings(config, sensor, lab, unlab):
+    """The (epoch, view) pairs train flags as collapsed."""
+    with pytest.warns(RuntimeWarning, match="pseudo labels") as caught:
+        train(config, sensor, lab, unlab)
+    flagged = set()
+    for w in caught:
+        found = re.match(r"epoch (\d+): class \d+ takes .* of the (\w+) view's", str(w.message))
+        if found:
+            flagged.add((int(found[1]), found[2]))
+    return flagged
+
+
+def test_train_warns_for_each_epoch_one_class_takes_a_views_pseudo_labels():
+    # 40 scans, 4 labelled, a 64x192 image: at the default pseudo_ramp_epochs = 0
+    # the cross row collapses both views to one class from the second epoch on
+    scans = generate_dataset(SceneConfig(**RECIPE_SCENE), 40, 0)
+    lab, unlab = split_dataset(scans, 0.1)
+    sensor = SensorSpec(image_height=64, image_width=192)
+    rows = dict(ABLATION_ROWS)
+    flagged = collapse_warnings(TrainConfig(epochs=4, **rows["cross"]), sensor, lab, unlab)
+    assert {(epoch, view) for epoch in (1, 2, 3) for view in VIEWS} <= flagged
+    # a ramp holds the warning back until the pseudo terms run at full weight
+    ramped = TrainConfig(epochs=4, pseudo_ramp_epochs=4, **rows["cross"])
+    assert collapse_warnings(ramped, sensor, lab, unlab) == {(3, view) for view in VIEWS}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no pseudo labels, no warning
+        train(TrainConfig(epochs=4, **rows["sup"]), sensor, lab, unlab)
 
 
 # ---------------------------------------------------------------------------
