@@ -1,4 +1,4 @@
-"""Byte-identity protocol: hash every output of seven fixed training runs.
+"""Byte-identity protocol: hash every output of eight fixed training runs.
 
 A refactor that must not change what the program computes runs this script
 on the parent commit and on the change and compares the printed lines.
@@ -9,7 +9,10 @@ six configs for 8 epochs with seed 0: the four ablation rows, `adamw` with
 batch 3 and learning rate 0.01, and `pseudo_ramp_epochs = 3` with batch 5.
 A second corpus of the same scenes, on the sparse grids of the benchmark's
 `ssl-sparse` workload (a 64x512 image, 40x120x16 voxels), trains the
-`cross+ctr+aug` row once more.  Each trained model is scored with
+`cross+ctr+aug` row once more, and then the benchmark's full row: the same
+terms for 14 epochs with `pseudo_ramp_epochs = 4`.  The 8-epoch peer runs
+collapse to one class; the full row does not, so the listing also covers
+healthy peer supervision.  Each trained model is scored with
 `eval --fused` under the global and the batchwise protocol.  Every command
 goes through `peerseg.cli.main` of the `src/` tree beside this script, and
 the INI text is written from this file, so two checkouts run the same
@@ -89,10 +92,11 @@ def _gen(work: Path, name: str, image_width: int, voxel_dims: str) -> Path:
     return corpus
 
 
-def _train_and_eval(work: Path, name: str, settings: str, corpus: Path) -> list:
+def _train_and_eval(work: Path, name: str, settings: str, corpus: Path,
+                    epochs: int = 8) -> list:
     """Train one config on a corpus and score it; the paths of its outputs."""
     ini = work / f"{name}.ini"
-    ini.write_text(f"[train]\nepochs = 8\n{settings}")
+    ini.write_text(f"[train]\nepochs = {epochs}\n{settings}")
     run = work / name
     _run(["train", "--data", str(corpus), "--out", str(run), "--config", str(ini),
           "--seed", "0"])
@@ -117,6 +121,8 @@ def main(work: Path) -> None:
     sparse = _gen(work, "sparse", 512, "40, 120, 16")
     outputs.append(sparse / cli.MANIFEST_NAME)
     outputs += _train_and_eval(work, f"sparse-{SPARSE_ROW}", ROWS[SPARSE_ROW], sparse)
+    outputs += _train_and_eval(work, "sparse-full", ROWS[SPARSE_ROW] + "pseudo_ramp_epochs = 4\n",
+                               sparse, epochs=14)
     for path in outputs:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(work)}")

@@ -4,7 +4,9 @@ Each op builds a node holding its inputs and a closure that pushes the
 output adjoint back onto them; backward() walks the recorded graph in
 reverse topological order.  Plain numpy arrays entering an op are wrapped
 as constants, so anything meant to be gradient-free (targets, prototypes,
-detached activations) simply stays a numpy array.
+detached activations) simply stays a numpy array.  The generic ops are add,
+mul and exp; the rest, like the loss terms and the prototype contrast, are
+single nodes that run a replaced op chain's numpy operations in its order.
 """
 
 from __future__ import annotations
@@ -100,17 +102,6 @@ def add(a, b) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _push=push)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out_data = a.data - b.data
-
-    def push(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _push=push)
-
-
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out_data = a.data * b.data
@@ -120,21 +111,6 @@ def mul(a, b) -> Tensor:
             _accum(a, _unbroadcast(g * b.data, a.data.shape))
         if b.needs_grad:
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _push=push)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-d operands")
-    out_data = a.data @ b.data
-
-    def push(g):
-        if a.needs_grad:
-            _accum(a, g @ b.data.T)
-        if b.needs_grad:
-            _accum(b, a.data.T @ g)
 
     return Tensor(out_data, _parents=(a, b), _push=push)
 
@@ -149,33 +125,10 @@ def exp(a) -> Tensor:
     return Tensor(out_data, _parents=(a,), _push=push)
 
 
-def log(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.log(a.data)
-
-    def push(g):
-        _accum(a, g / a.data)
-
-    return Tensor(out_data, _parents=(a,), _push=push)
-
-
-def tsum(a, axis=None, keepdims=False) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def push(g):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        _accum(a, np.broadcast_to(gg, a.data.shape))
-
-    return Tensor(out_data, _parents=(a,), _push=push)
-
-
 def linear(x, w, b, slope=None) -> Tensor:
     """One dense layer ``x @ w + b``, leaky-ReLU activated when ``slope`` is given.
 
-    One tape node in place of a matmul, an add and an activation node.  It
+    One tape node in place of a matrix product, an add and an activation node.  It
     runs their numpy operations in their order, forward and backward, so its
     values and gradients equal that chain's bit for bit.
     """
@@ -204,10 +157,9 @@ def linear(x, w, b, slope=None) -> Tensor:
 def log_softmax(logits) -> Tensor:
     """Row-wise log softmax; the max shift is a forward-value constant.
 
-    One tape node in place of the chain
-    sub(shift, log(tsum(exp(shift), axis=1, keepdims=True))).  It runs the
-    chain's numpy operations in their order, forward and backward, so its
-    values and gradients equal that chain's bit for bit.
+    One tape node in place of the five-op chain shift - log(sum(exp(shift)))
+    over rows.  It runs the chain's numpy operations in their order, forward
+    and backward, so its values and gradients equal that chain's bit for bit.
     """
     logits = _wrap(logits)
     shift = logits.data - logits.data.max(axis=1, keepdims=True)

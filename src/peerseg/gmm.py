@@ -17,6 +17,9 @@ The contrast runs in one pass: the prototypes of all ready classes are
 stacked, every usable anchor meets every prototype in one product, and a
 class mask marks each anchor's positive columns.  A pair's term is
 log(exp(s_pos) + sum of exp over the anchor's negative columns) - s_pos.
+It is one tape node over the anchor embeddings.  Its push runs the replaced
+twelve-op chain's steps in their order and assigns the used rows'
+((g_e * e - g_pair) / T) @ prototypes once into a zero buffer.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, _accum
 from .errors import FormatError, NumericError
 
 @dataclass
@@ -345,13 +348,22 @@ def contrastive_loss(anchors: AnchorSet, bank: GmmBank, prototypes_per_class: in
     rows = np.nonzero(np.isin(anchors.labels, ready))[0]
     if rows.size == 0:
         return Tensor(0.0)
-    pos = anchors.labels[rows, None] == np.repeat(ready, prototypes_per_class)[None, :]
-    logits = ad.mul(ad.matmul(ad.take_rows(anchors.z, rows), protos.T), 1.0 / temperature)
-    e = ad.exp(logits)
-    neg_sum = ad.tsum(ad.mul(e, ~pos), axis=1, keepdims=True)
-    per_pair = ad.sub(ad.log(ad.add(e, neg_sum)), logits)
-    total = ad.tsum(ad.mul(per_pair, pos))
-    return ad.mul(total, 1.0 / (rows.size * prototypes_per_class))
+    pos = (anchors.labels[rows, None] == np.repeat(ready, prototypes_per_class)) * 1.0
+    neg = 1.0 - pos
+    z, inv_t, scale = anchors.z, 1.0 / temperature, 1.0 / (rows.size * prototypes_per_class)
+    logits = (z.data[rows] @ protos.T) * inv_t
+    e = np.exp(logits)
+    s = e + (e * neg).sum(axis=1, keepdims=True)
+
+    def push(g):
+        g_pair = g * scale * pos
+        g_s = g_pair / s
+        g_e = g_s + g_s.sum(axis=1, keepdims=True) * neg
+        buf = np.zeros_like(z.data)
+        buf[rows] = ((-g_pair + g_e * e) * inv_t) @ protos + 0.0
+        _accum(z, buf)
+
+    return Tensor(((np.log(s) - logits) * pos).sum() * scale, _parents=(z,), _push=push)
 
 
 # ---------------------------------------------------------------------------

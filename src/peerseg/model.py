@@ -139,14 +139,12 @@ def init_model(num_point_features, num_classes, hidden_range=32, hidden_voxel=32
 # forward passes
 # ---------------------------------------------------------------------------
 
-def trunk_hidden(view: ViewParams, cells) -> Tensor:
-    """Hidden activations for a (num_cells, channels) matrix of cell features."""
-    x = cells if isinstance(cells, Tensor) else Tensor(np.asarray(cells, dtype=np.float64))
-    if x.data.ndim != 2 or x.data.shape[1] != view.in_dim:
-        raise ValueError(
-            f"cell matrix has {x.data.shape} channels, view expects {view.in_dim}")
-    x = ad.mul(x, 1.0 / view.input_scale)
-    return ad.linear(x, view.w1, view.b1, LEAKY_SLOPE)
+def trunk_hidden(view: ViewParams, cells: np.ndarray) -> Tensor:
+    """Hidden activations for a (num_cells, channels) numpy matrix of cell features."""
+    x = np.asarray(cells, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != view.in_dim:
+        raise ValueError(f"cell matrix has {x.shape} channels, view expects {view.in_dim}")
+    return ad.linear(x * (1.0 / view.input_scale), view.w1, view.b1, LEAKY_SLOPE)
 
 
 def segment_logits(view: ViewParams, hidden: Tensor) -> Tensor:

@@ -205,7 +205,7 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
             pseudo_counts += counts
             global_iter += 1
         if epoch + 1 >= config.pseudo_ramp_epochs:  # the pseudo terms ran at full weight
-            _warn_on_collapse(epoch, pseudo_counts)
+            _warn_on_collapse(config, epoch, pseudo_counts)
 
         record = {"epoch": epoch, "lr": lr}
         record.update({k: sums[k] / iters_per_epoch for k in sums})
@@ -215,14 +215,17 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     return state, bank, metrics
 
 
-def _warn_on_collapse(epoch, pseudo_counts):
-    """A RuntimeWarning for each view whose epoch of pseudo labels one class dominates."""
+def _warn_on_collapse(config, epoch, pseudo_counts):
+    """A RuntimeWarning, naming the run, per view whose epoch of pseudo labels one class rules."""
+    run = "+".join(n for n, on in zip(("cross", "ctr", "aug"), (
+        config.use_cross_supervision, config.use_contrastive, config.use_augmentation)) if on)
     for view, counts in zip(VIEWS, pseudo_counts):
         total = counts.sum()
         if total and counts.max() > COLLAPSE_SHARE * total:
             warnings.warn(
                 f"epoch {epoch}: class {int(counts.argmax())} takes "
-                f"{counts.max() / total:.1%} of the {view} view's pseudo labels; "
+                f"{counts.max() / total:.1%} of the {view} view's pseudo labels "
+                f"(seed {config.seed}, {run}); "
                 f"peer supervision may have collapsed (pseudo_ramp_epochs delays it)",
                 RuntimeWarning)
 

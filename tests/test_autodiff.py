@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
+from tape_ops import div, matmul, sqrt, tsum
 
 STEP = 1e-5
 TOL = 1e-4
@@ -18,7 +19,7 @@ TOL = 1e-4
 
 def mean(a: Tensor) -> Tensor:
     """The scalar reducer of the checks: the mean of all entries, built from tape ops."""
-    return ad.mul(ad.tsum(a), 1.0 / a.data.size)
+    return ad.mul(tsum(a), 1.0 / a.data.size)
 
 
 def fd_check(build, params):
@@ -57,7 +58,6 @@ def test_add_sub_mul_div_grads():
     a = rand_param(rng, 3, 4)
     b = rand_param(rng, 3, 4)
     fd_check(lambda: mean(ad.add(a, b)), [a, b])
-    fd_check(lambda: mean(ad.sub(a, b)), [a, b])
     fd_check(lambda: mean(ad.mul(a, b)), [a, b])
 
 
@@ -71,33 +71,10 @@ def test_broadcast_grads():
     fd_check(lambda: mean(ad.mul(a, scalar)), [a, scalar])
 
 
-def test_matmul_grads():
-    rng = np.random.default_rng(2)
-    a = rand_param(rng, 3, 5)
-    b = rand_param(rng, 5, 2)
-    fd_check(lambda: mean(ad.matmul(a, b)), [a, b])
-
-
-def test_matmul_rejects_vectors():
-    with pytest.raises(ValueError):
-        ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
-
-
 def test_exp_log_sqrt_grads():
     rng = np.random.default_rng(3)
     a = rand_param(rng, 2, 3)
     fd_check(lambda: mean(ad.exp(a)), [a])
-    pos = Tensor(rng.uniform(0.5, 3.0, size=(2, 3)), requires_grad=True)
-    fd_check(lambda: mean(ad.log(pos)), [pos])
-
-
-def test_sum_axis_and_keepdims_grads():
-    rng = np.random.default_rng(4)
-    a = rand_param(rng, 3, 4)
-    w = rand_param(rng, 3, 1)
-    fd_check(lambda: mean(ad.mul(ad.tsum(a, axis=1, keepdims=True), w)), [a, w])
-    fd_check(lambda: ad.tsum(a), [a])
-    fd_check(lambda: mean(ad.tsum(a, axis=0)), [a])
 
 
 def leaky_relu(a, slope):
@@ -118,7 +95,7 @@ def test_linear_grad_away_from_kink():
     neg = Tensor(np.array([[-2.0]]), requires_grad=True)
     out = ad.linear(neg, np.ones((1, 1)), np.zeros(1), 0.25)
     assert out.data[0, 0] == pytest.approx(-0.5)
-    ad.tsum(out).backward()
+    tsum(out).backward()
     assert neg.grad[0, 0] == pytest.approx(0.25)
 
 
@@ -129,7 +106,7 @@ def test_leaky_factor_is_exactly_slope_or_one(slope):
     # the gradient of the output's sum is the factor itself
     x = Tensor(np.array([[-3.0], [-1e-300], [0.0], [1e-300], [2.5]]), requires_grad=True)
     out = ad.linear(x, np.ones((1, 1)), np.zeros(1), slope)
-    ad.tsum(out).backward()
+    tsum(out).backward()
     factor = np.array([[slope], [slope], [1.0], [1.0], [1.0]])
     assert x.grad.tobytes() == factor.tobytes()
     assert out.data.tobytes() == (x.data * factor).tobytes()
@@ -150,10 +127,10 @@ def test_linear_equals_matmul_add_leaky_relu_bit_for_bit(slope, x_needs_grad):
         if fused:
             out = ad.linear(x, w, b, slope)
         else:
-            out = ad.add(ad.matmul(x, w), b)
+            out = ad.add(matmul(x, w), b)
             if slope is not None:
                 out = leaky_relu(out, slope)
-        ad.tsum(ad.mul(out, upstream)).backward()
+        tsum(ad.mul(out, upstream)).backward()
         results.append([out.data, w.grad, b.grad] + ([x.grad] if x_needs_grad else []))
         assert (x.grad is None) != x_needs_grad
     for got, want in zip(*results):
@@ -170,7 +147,7 @@ def test_take_rows_grads_and_rejects_duplicates():
     idx = np.array([2, 0, 3])
     fd_check(lambda: mean(ad.take_rows(a, idx)), [a])
     a.zero_grad()
-    ad.tsum(ad.take_rows(a, idx)).backward()
+    tsum(ad.take_rows(a, idx)).backward()
     assert a.grad[1].tolist() == [0.0, 0.0, 0.0]
     with pytest.raises(ValueError, match="distinct"):
         ad.take_rows(a, np.array([0, 2, 2]))
@@ -184,7 +161,7 @@ def test_take_rows_push_equals_add_at_bit_for_bit():
     idx = np.array([5, 1, 2, 4])
     upstream = rng.normal(size=(4, 4))
     upstream[0, 1] = upstream[2, 3] = -0.0
-    ad.tsum(ad.mul(ad.take_rows(a, idx), upstream)).backward()
+    tsum(ad.mul(ad.take_rows(a, idx), upstream)).backward()
     want = np.zeros_like(a.data)
     np.add.at(want, idx, upstream * 1.0)
     assert a.grad.tobytes() == want.tobytes()
@@ -208,30 +185,11 @@ def test_normalize_rows_grads_and_norms():
     fd_check(lambda: mean(ad.mul(ad.normalize_rows(a), np.arange(5.0))), [a])
 
 
-def chain_sqrt(a):
-    out_data = np.sqrt(a.data)
-
-    def push(g):
-        ad._accum(a, g * 0.5 / out_data)
-
-    return Tensor(out_data, _parents=(a,), _push=push)
-
-
-def chain_div(a, b):
-    out_data = a.data / b.data
-
-    def push(g):
-        ad._accum(a, ad._unbroadcast(g / b.data, a.data.shape))
-        ad._accum(b, ad._unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return Tensor(out_data, _parents=(a, b), _push=push)
-
-
 def chain_normalize_rows(a, eps=1e-12):
     """The reference: normalize_rows as a chain of tape ops, a / sqrt(sum(a * a) + eps),
     with elementwise sqrt and div nodes whose pushes follow the chain rule."""
-    sq = ad.tsum(ad.mul(a, a), axis=1, keepdims=True)
-    return chain_div(a, chain_sqrt(ad.add(sq, eps)))
+    sq = tsum(ad.mul(a, a), axis=1, keepdims=True)
+    return div(a, sqrt(ad.add(sq, eps)))
 
 
 @pytest.mark.parametrize("zero_row", [False, True])
@@ -245,7 +203,7 @@ def test_normalize_rows_equals_chain_reference(zero_row):
     for build in (ad.normalize_rows, chain_normalize_rows):
         a = Tensor(data.copy(), requires_grad=True)
         out = build(a)
-        ad.tsum(ad.mul(out, upstream)).backward()
+        tsum(ad.mul(out, upstream)).backward()
         results.append((out.data, a.grad))
     (got, got_grad), (want, want_grad) = results
     assert got.tobytes() == want.tobytes()  # the forward runs the chain's numpy ops
@@ -304,12 +262,13 @@ def test_deep_chain_does_not_recurse():
     assert a.grad == pytest.approx(1.0)
 
 
-def test_mixed_constant_parent_matmul():
-    # constant left operand: gradient flows only into the parameter side
+def test_mixed_constant_parent_linear():
+    # constant input, as the trunk's scaled cells: gradient flows only into the parameters
     rng = np.random.default_rng(11)
     const = Tensor(rng.normal(size=(3, 4)))
     w = rand_param(rng, 4, 2)
-    fd_check(lambda: mean(ad.matmul(const, w)), [w])
-    loss = mean(ad.matmul(const, w))
+    b = rand_param(rng, 2)
+    fd_check(lambda: mean(ad.linear(const, w, b)), [w, b])
+    loss = mean(ad.linear(const, w, b))
     loss.backward()
     assert const.grad is None

@@ -10,6 +10,7 @@ from peerseg.gmm import (AnchorSet, ClassSamples, bank_from_tensors, bank_tensor
                          collect_embeddings, contrastive_loss, em_update, ema_update,
                          merge_anchor_sets, mine_anchors, new_bank, responsibilities,
                          sample_prototypes, weighted_log_likelihood)
+from tape_ops import log, matmul, sub, tsum
 
 
 def antithetic_two_cluster(rng, dim=2, n_pairs_per=125, sep=3.0):
@@ -270,7 +271,7 @@ def test_mine_anchors_keeps_gradient_path():
     embeds = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
     out = mine_anchors(embeds, [0, 0, 0, 1, 1, 1], [0, 0, 0, 1, 1, 1],
                        cap=4, rng=rng)
-    ad.tsum(ad.mul(out.z, out.z)).backward()
+    tsum(ad.mul(out.z, out.z)).backward()
     assert embeds.grad is not None
     assert np.abs(embeds.grad).sum() > 0
 
@@ -394,11 +395,11 @@ def per_class_contrastive(anchors, bank, prototypes_per_class, temperature, rng)
         a = ad.take_rows(anchors.z, rows)
         pos = protos[y]
         neg = np.concatenate([protos[c] for c in ready if c != y], axis=0)
-        pos_logits = ad.mul(ad.matmul(a, pos.T), inv_t)
-        neg_logits = ad.mul(ad.matmul(a, neg.T), inv_t)
-        neg_sum = ad.tsum(ad.exp(neg_logits), axis=1, keepdims=True)
-        per_pair = ad.sub(ad.log(ad.add(ad.exp(pos_logits), neg_sum)), pos_logits)
-        term = ad.tsum(per_pair)
+        pos_logits = ad.mul(matmul(a, pos.T), inv_t)
+        neg_logits = ad.mul(matmul(a, neg.T), inv_t)
+        neg_sum = tsum(ad.exp(neg_logits), axis=1, keepdims=True)
+        per_pair = sub(log(ad.add(ad.exp(pos_logits), neg_sum)), pos_logits)
+        term = tsum(per_pair)
         total = term if total is None else ad.add(total, term)
         pair_count += rows.size * pos.shape[0]
     if total is None:
@@ -433,6 +434,81 @@ def test_contrastive_equals_per_class_reference(case):
     np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=0)
     if case == "unready_anchor_class":
         assert (got_grad[labels == 1] == 0).all() and (got_grad[labels != 1] != 0).all()
+
+
+def chain_contrastive(anchors, bank, prototypes_per_class, temperature, rng):
+    """The reference: the prototype contrast as the twelve-op chain it was
+    before it became one node, in that chain's order."""
+    ready = bank.ready_classes()
+    if len(ready) < 2 or anchors.count == 0:
+        return Tensor(0.0)
+    protos = np.concatenate([sample_prototypes(bank, y, prototypes_per_class, rng)
+                             for y in ready])
+    rows = np.nonzero(np.isin(anchors.labels, ready))[0]
+    if rows.size == 0:
+        return Tensor(0.0)
+    pos = anchors.labels[rows, None] == np.repeat(ready, prototypes_per_class)[None, :]
+    logits = ad.mul(matmul(ad.take_rows(anchors.z, rows), protos.T), 1.0 / temperature)
+    e = ad.exp(logits)
+    neg_sum = tsum(ad.mul(e, ~pos), axis=1, keepdims=True)
+    per_pair = sub(log(ad.add(e, neg_sum)), logits)
+    total = tsum(ad.mul(per_pair, pos))
+    return ad.mul(total, 1.0 / (rows.size * prototypes_per_class))
+
+
+@pytest.mark.parametrize("upstream", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("case", ["unready_anchor_class", "two_ready", "ppc_not_multiple_of_8",
+                                  "zero_row", "all_ready_gathered"])
+def test_contrastive_node_equals_the_op_chain_bit_for_bit(case, upstream):
+    rng = np.random.default_rng(21)
+    classes = 2 if case == "two_ready" else 4
+    ppc = 5 if case == "ppc_not_multiple_of_8" else 8
+    n = 40
+    bank = ready_bank(classes, dim=8, components=3, seed=7)
+    if case == "unready_anchor_class":
+        bank.initialized[1] = False
+    z = rng.normal(size=(n, 8))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    if case == "zero_row":
+        z[3] = 0.0
+    labels = rng.integers(0, classes, size=n)
+    if case == "all_ready_gathered":  # every class present, anchors gathered as mine_anchors does
+        labels[:classes] = np.arange(classes)
+    results = []
+    for build in (contrastive_loss, chain_contrastive):
+        embeds = Tensor(z.copy(), requires_grad=True)
+        anchor_z = ad.take_rows(embeds, np.arange(n)[::-1]) \
+            if case == "all_ready_gathered" else embeds
+        anchors = AnchorSet(z=anchor_z, labels=labels, num_easy=n, num_hard=0)
+        loss = build(anchors, bank, ppc, 0.1, np.random.default_rng(5))
+        if build is contrastive_loss:
+            assert loss._parents == (anchors.z,)
+        (loss if upstream == 1.0 else ad.mul(loss, upstream)).backward()
+        results.append((loss.data.tobytes(), embeds.grad.tobytes()))
+    assert results[0] == results[1]
+
+
+def test_contrastive_node_equals_the_op_chain_on_random_shapes():
+    rng = np.random.default_rng(22)
+    for trial in range(100):
+        classes, ppc = int(rng.integers(2, 6)), int(rng.integers(1, 10))
+        n, dim = int(rng.integers(1, 30)), int(rng.integers(2, 9))
+        bank = ready_bank(classes, dim=dim, components=2, seed=trial)
+        bank.initialized[rng.random(classes) < 0.2] = False
+        z = rng.normal(size=(n, dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        labels = rng.integers(0, classes, size=n)
+        temperature, upstream = rng.uniform(0.05, 1.0), float(rng.choice([1.0, 0.7, 0.0]))
+        results = []
+        for build in (contrastive_loss, chain_contrastive):
+            anchors = AnchorSet(z=Tensor(z.copy(), requires_grad=True), labels=labels,
+                                num_easy=n, num_hard=0)
+            loss = build(anchors, bank, ppc, temperature, np.random.default_rng(trial))
+            if loss.needs_grad:
+                ad.mul(loss, upstream).backward()
+            grad = anchors.z.grad
+            results.append((loss.data.tobytes(), None if grad is None else grad.tobytes()))
+        assert results[0] == results[1], trial
 
 
 def test_contrastive_needs_two_ready_classes():

@@ -8,6 +8,7 @@ from peerseg import (PointScan, SensorSpec, make_pseudo_labels,
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
 from peerseg.losses import log_softmax, lovasz_set_loss
+from tape_ops import detached_sign_abs, log, sub, take_at, tsum
 
 
 def T(x):
@@ -87,30 +88,10 @@ def test_set_supervised_loss_averages_scans():
     assert float(set_supervised_loss(T(logits), targets, []).data) == 0.0
 
 
-def take_at(a, rows, cols):
-    """out[k] = a[rows[k], cols[k]], its push accumulating into zeros with
-    np.add.at: the gather both loss terms were built on before each became
-    one node."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-
-    def push(g):
-        buf = np.zeros_like(a.data)
-        np.add.at(buf, (rows, cols), g)
-        ad._accum(a, buf)
-
-    return Tensor(a.data[rows, cols], _parents=(a,), _push=push)
-
-
-def detached_sign_abs(a):
-    """|a| with the sign taken from the forward value (constant in backward)."""
-    return ad.mul(a, np.sign(a.data))
-
-
 def log_softmax_chain(logits):
     """Log softmax as five tape ops: the reference the one-node op must match."""
-    shift = ad.sub(logits, logits.data.max(axis=1, keepdims=True))
-    return ad.sub(shift, ad.log(ad.tsum(ad.exp(shift), axis=1, keepdims=True)))
+    shift = sub(logits, logits.data.max(axis=1, keepdims=True))
+    return sub(shift, log(tsum(ad.exp(shift), axis=1, keepdims=True)))
 
 
 def test_log_softmax_equals_the_five_op_chain_bit_for_bit():
@@ -123,8 +104,8 @@ def test_log_softmax_equals_the_five_op_chain_bit_for_bit():
         logits = T(data)
         logp = build(logits)
         # both consumers of the supervised loss: a cross-entropy gather and exp
-        loss = ad.add(ad.tsum(take_at(logp, np.arange(9), targets)),
-                      ad.tsum(ad.mul(ad.exp(logp), weights)))
+        loss = ad.add(tsum(take_at(logp, np.arange(9), targets)),
+                      tsum(ad.mul(ad.exp(logp), weights)))
         loss.backward()
         results.append((logp.data, logits.grad))
     for got, want in zip(*results):
@@ -248,7 +229,7 @@ def per_segment_lovasz(probs, targets, slices):
         return Tensor(0.0)
     rows = np.concatenate(rows_parts)
     cols = np.concatenate(cols_parts)
-    errors = detached_sign_abs(ad.sub(np.concatenate(fg_parts), take_at(probs, rows, cols)))
+    errors = detached_sign_abs(sub(np.concatenate(fg_parts), take_at(probs, rows, cols)))
     perm = np.empty(rows.shape[0], dtype=np.int64)
     weights = np.empty(rows.shape[0])
     present = {start: sum(s == start for s, _ in segments) for start, _ in segments}
@@ -263,7 +244,7 @@ def per_segment_lovasz(probs, targets, slices):
         jaccard[1:] = jaccard[1:] - jaccard[:-1]
         weights[off:off + n] = jaccard * (1.0 / (len(slices) * present[start]))
         off += n
-    return ad.tsum(ad.mul(ad.take_rows(errors, perm), weights))
+    return tsum(ad.mul(ad.take_rows(errors, perm), weights))
 
 
 def scan_slices(sizes):
@@ -332,7 +313,7 @@ def chain_set_supervised_loss(logits, targets, slices):
     for start, stop in slices:
         ce_w[start:stop] = 1.0 / (len(slices) * max(stop - start, 1))
     picked = take_at(logp, np.arange(targets.shape[0]), targets)
-    ce = ad.mul(ad.tsum(ad.mul(picked, ce_w)), -1.0)
+    ce = ad.mul(tsum(ad.mul(picked, ce_w)), -1.0)
     return ad.add(ce, per_segment_lovasz(ad.exp(logp), targets, slices))
 
 

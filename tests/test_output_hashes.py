@@ -1,10 +1,12 @@
 """Byte identity: `scripts/output_hashes.py` must print the committed listing.
 
 The listing, `tests/output_hashes.golden`, holds the sha256 of every output
-of the script's seven training runs, headed by the build key it was made on:
+of the script's eight training runs, headed by the build key it was made on:
 numpy's version, the BLAS configuration numpy was built against, the CPU
 kernel the loaded OpenBLAS picked at run time and the CPU architecture.
-Output bytes depend on that key, so on another key the test
+The last run, the benchmark's full row, trains past the pseudo-label
+collapse of the shorter peer runs, so the listing covers healthy peer
+supervision too.  Output bytes depend on that key, so on another key the test
 skips and names both.  A change that alters output bytes on purpose says why
 and rewrites the listing in the same commit:
 

@@ -184,6 +184,22 @@ def test_train_warns_for_each_epoch_one_class_takes_a_views_pseudo_labels():
         train(TrainConfig(epochs=4, **rows["sup"]), sensor, lab, unlab)
 
 
+def test_ablate_shows_every_runs_collapse_warnings_under_the_default_filter():
+    # Python's "default" filter shows each warning text once; every ablate run
+    # names itself in the text, so no later row or seed is hidden
+    scans = generate_dataset(SceneConfig(**RECIPE_SCENE), 40, 0)
+    lab, unlab = split_dataset(scans, 0.1)
+    sensor = SensorSpec(image_height=64, image_width=192)
+    counts = {}
+    for action in ("always", "default"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            ablate(TrainConfig(epochs=4), sensor, lab, unlab, eval_scans=scans[:4], seeds=(0, 1))
+        counts[action] = sum("pseudo labels" in str(w.message) for w in caught)
+    assert counts["always"] > 0
+    assert counts["default"] == counts["always"]
+
+
 # ---------------------------------------------------------------------------
 # determinism and component isolation
 # ---------------------------------------------------------------------------
