@@ -20,6 +20,9 @@ log(exp(s_pos) + sum of exp over the anchor's negative columns) - s_pos.
 It is one tape node over the anchor embeddings.  Its push runs the replaced
 twelve-op chain's steps in their order and assigns the used rows'
 ((g_e * e - g_pair) / T) @ prototypes once into a zero buffer.
+
+Rows are chosen before anything is embedded: anchors from predictions and
+targets, the mixture pool from labels, so the projector runs on those alone.
 """
 
 from __future__ import annotations
@@ -268,8 +271,11 @@ class AnchorSet:
 def mine_anchors(embeds: Tensor, predictions, targets, cap: int, rng) -> AnchorSet:
     """Half correctly-predicted cells, half mistakes, uniformly sampled.
 
-    When one pool is short the other backfills, up to cap anchors total.
-    Row gathering keeps the anchors attached to the embedding graph.
+    ``embeds`` may hold rows of any per-cell feature tensor: the choice reads
+    only predictions and targets, and the set's z gathers the chosen rows,
+    so a caller can mine on trunk features and project the anchors after.
+    An odd cap gives its spare slot to the easy side.  When one pool is
+    short the other backfills, up to cap anchors total.
     """
     predictions = np.asarray(predictions)
     targets = np.asarray(targets)
@@ -279,11 +285,9 @@ def mine_anchors(embeds: Tensor, predictions, targets, cap: int, rng) -> AnchorS
         raise ValueError("cap must be >= 1")
     easy_pool = np.nonzero(predictions == targets)[0]
     hard_pool = np.nonzero(predictions != targets)[0]
-    half = cap // 2
-    short_easy = half - min(half, easy_pool.size)
-    short_hard = half - min(half, hard_pool.size)
-    n_easy = min(easy_pool.size, half + short_hard)   # each side backfills the other
-    n_hard = min(hard_pool.size, half + short_easy)
+    # cap // 2 hard slots, more when the easy pool is short; the easy side takes the rest
+    n_hard = min(hard_pool.size, max(cap // 2, cap - easy_pool.size))
+    n_easy = min(easy_pool.size, cap - n_hard)
     easy = rng.choice(easy_pool, size=n_easy, replace=False) if n_easy else np.empty(0, np.int64)
     hard = rng.choice(hard_pool, size=n_hard, replace=False) if n_hard else np.empty(0, np.int64)
     chosen = np.concatenate([np.sort(easy), np.sort(hard)]).astype(np.int64)
@@ -304,25 +308,19 @@ def merge_anchor_sets(a: AnchorSet, b: AnchorSet) -> AnchorSet:
     )
 
 
-def collect_embeddings(views, cap_per_class: int, rng, num_classes: int) -> dict:
-    """Pool detached embeddings from every view into per-class sample sets.
+def pool_rows(labels, cap_per_class: int, rng, num_classes: int) -> np.ndarray:
+    """The mixture pool's rows, ascending: per class in [0, num_classes) at most
+    cap_per_class of its rows, uniformly drawn.  Labels alone decide."""
+    rows = [np.nonzero(np.asarray(labels) == y)[0] for y in range(num_classes)]
+    return np.sort(np.concatenate([rng.choice(r, size=cap_per_class, replace=False)
+                                   if r.size > cap_per_class else r for r in rows]))
 
-    ``views`` holds one (z, labels, conf) triple of numpy arrays (detached)
-    per view, pooled in that order; per class at most cap_per_class rows
-    survive, uniformly subsampled.  Returns {class id: ClassSamples}.
-    """
-    z = np.concatenate([np.asarray(vz, dtype=np.float64) for vz, _, _ in views], axis=0)
-    labels = np.concatenate([np.asarray(vl) for _, vl, _ in views])
-    conf = np.concatenate([np.asarray(vc, dtype=np.float64) for _, _, vc in views])
-    out = {}
-    for y in range(num_classes):
-        idx = np.nonzero(labels == y)[0]
-        if idx.size == 0:
-            continue
-        if idx.size > cap_per_class:
-            idx = np.sort(rng.choice(idx, size=cap_per_class, replace=False))
-        out[y] = ClassSamples(z=z[idx], conf=conf[idx])
-    return out
+
+def collect_embeddings(z, labels, conf) -> dict:
+    """Per-class sample sets {class id: ClassSamples} of the pooled rows: their
+    detached embeddings z, in pool_rows' order, labels and confidences."""
+    return {int(y): ClassSamples(z=z[labels == y], conf=conf[labels == y])
+            for y in np.unique(labels)}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ decay for both views.  The two views are peers, so each step is written
 once, as a loop over VIEWS: a view's grids, targets, pseudo labels,
 parameters and mixing augmentation sit in parallel pairs indexed by view.
 
+The contrast's anchors and the mixture's pool rows are chosen on the trunk
+features before anything is embedded, and the projector runs on those rows alone.
+
 Every scan is projected once, before the first iteration.  A mixer picks
 rows of the batch's stacked cells or points, and the mixed inputs and
 targets are gathers at those rows; the voxel view regroups the picked
@@ -192,11 +195,9 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
         pseudo_counts = np.zeros((2, y_count), dtype=np.int64)
         for it in range(iters_per_epoch):
             lr = model_mod.poly_lr(config.base_lr, global_iter, total_iters)
-            batch_lab = [lab[i] for i in
-                         order_lab[it * config.batch_size:(it + 1) * config.batch_size]]
-            batch_unlab = [unlab[i] for i in
-                           order_unlab[it * config.batch_size:(it + 1) * config.batch_size]] \
-                if use_unlab else []
+            window = slice(it * config.batch_size, (it + 1) * config.batch_size)
+            batch_lab = [lab[i] for i in order_lab[window]]
+            batch_unlab = [unlab[i] for i in order_unlab[window]] if use_unlab else []
             parts, counts = _iteration(config, sensor, state, bank, batch_lab, batch_unlab,
                                        y_count, epoch, global_iter, lr, optimizer,
                                        rng_anchor, rng_proto, rng_em)
@@ -242,11 +243,8 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
         hidden = model_mod.trunk_hidden(params[k], np.concatenate(mats, axis=0))
         return hidden, model_mod.segment_logits(params[k], hidden), list(zip([0] + stops, stops))
 
-    def forward_batch(k, batch):
-        return forward(k, [b.grids[k].cells for b in batch])
-
     # labelled forward, per view: (hidden, logits, slices)
-    lab = [forward_batch(k, batch_lab) for k in range(2)]
+    lab = [forward(k, [b.grids[k].cells for b in batch_lab]) for k in range(2)]
     lab_targets = [np.concatenate([b.targets[k] for b in batch_lab]) for k in range(2)]
     loss_lab = [losses_mod.set_supervised_loss(lab[k][1], lab_targets[k], lab[k][2])
                 for k in range(2)]
@@ -256,7 +254,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
 
     if batch_unlab:
         # clean forward on the unlabelled batch; predictions detach here
-        unlab = [forward_batch(k, batch_unlab) for k in range(2)]
+        unlab = [forward(k, [b.grids[k].cells for b in batch_unlab]) for k in range(2)]
         probs = [[model_mod.probs_grid(b.grids[k], logits.data[start:stop], y_count)
                   for b, (start, stop) in zip(batch_unlab, slices)]
                  for k, (_, logits, slices) in enumerate(unlab)]
@@ -267,9 +265,8 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
         pseudo_t = [np.concatenate(c) for c in pseudo_cells]
         pseudo_c = [np.concatenate([p.cell_confidence for p in pseudo[k]]) for k in range(2)]
         pseudo_counts = np.stack([np.bincount(t, minlength=y_count) for t in pseudo_t])
-        ramp = 1.0
-        if config.pseudo_ramp_epochs > 0:
-            ramp = min(1.0, (epoch + 1) / config.pseudo_ramp_epochs)
+        ramp = min(1.0, (epoch + 1) / config.pseudo_ramp_epochs) \
+            if config.pseudo_ramp_epochs > 0 else 1.0
         for k in range(2):
             if config.use_augmentation:
                 # pseudo terms on mixed inputs with mixed targets
@@ -282,32 +279,24 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
 
     class_sets = None
     if config.use_contrastive and epoch >= config.warmup_epochs:
-        anchor_sets, pool = [], []
+        views = []
         for k in range(2):
             # (forward, targets, confidences): labelled cells, then pseudo-labelled ones
             sets = [(lab[k], lab_targets[k], np.ones(lab_targets[k].shape[0]))]
             if batch_unlab:
                 sets.append((unlab[k], pseudo_t[k], pseudo_c[k]))
-            embeds = [model_mod.project_embed(params[k], fwd[0]) for fwd, _, _ in sets]
-            emb = embeds[0] if len(embeds) == 1 else ad.concat_rows(embeds)
-            preds = np.concatenate([np.argmax(fwd[1].data, axis=1) for fwd, _, _ in sets])
-            targets = np.concatenate([t for _, t, _ in sets])
-            anchor_sets.append(gmm_mod.mine_anchors(emb, preds, targets, config.anchor_cap,
-                                                    rng_anchor))
-            pool.append((emb.data, targets, np.concatenate([c for _, _, c in sets])))
-        anchors = gmm_mod.merge_anchor_sets(*anchor_sets)
-        loss_ctr = gmm_mod.contrastive_loss(anchors, bank, config.prototypes_per_class,
-                                            TEMPERATURE, rng_proto)
-        # detached embedding pool for the mixture updates (after the loss,
-        # so this iteration's contrastive term reads the previous shadow)
-        class_sets = gmm_mod.collect_embeddings(pool, config.embed_subsample_cap, rng_em,
-                                                y_count)
+            fwds, targets, conf = zip(*sets)
+            preds = [np.argmax(f[1].data, axis=1) for f in fwds]
+            views.append((ad.concat_rows([f[0] for f in fwds]),
+                          *map(np.concatenate, (preds, targets, conf))))
+        loss_ctr, class_sets = _contrast(config, params, bank, views, y_count,
+                                         rng_anchor, rng_proto, rng_em)
 
     total = ad.add(ad.add(ad.add(*loss_lab), ad.add(*loss_pse)), loss_ctr)
     if not np.isfinite(total.data):
         raise NumericError(f"non-finite loss at iteration {global_iter}")
 
-    if class_sets:
+    if class_sets:  # after the loss, so this iteration's contrast read the previous shadow
         gmm_mod.em_update(bank, class_sets, rng=rng_em)
         gmm_mod.ema_update(bank)
 
@@ -323,6 +312,21 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
         parts[f"loss_{name}_labelled"] = float(labelled.data)
         parts[f"loss_{name}_pseudo"] = float(pseudo_loss.data)
     return parts, pseudo_counts
+
+
+def _contrast(config, params, bank, views, y_count, rng_anchor, rng_proto, rng_em):
+    """Contrastive loss and pool class sets from per view (hidden, predictions, targets,
+    confidences); the projector sees only the anchors (taped) and pool rows (detached)."""
+    mined = [gmm_mod.mine_anchors(h, p, t, config.anchor_cap, rng_anchor) for h, p, t, _ in views]
+    anchors = [replace(a, z=model_mod.project_embed(w, a.z)) for w, a in zip(params, mined)]
+    loss = gmm_mod.contrastive_loss(gmm_mod.merge_anchor_sets(*anchors), bank,
+                                    config.prototypes_per_class, TEMPERATURE, rng_proto)
+    labels, conf = (np.concatenate([v[i] for v in views]) for i in (2, 3))
+    rows = gmm_mod.pool_rows(labels, config.embed_subsample_cap, rng_em, y_count)
+    first = views[0][0].data.shape[0]          # the pool numbers rows over both views
+    z = [model_mod.project_embed(w, v[0].data[r]).data for w, v, r in
+         zip(params, views, (rows[rows < first], rows[rows >= first] - first))]
+    return loss, gmm_mod.collect_embeddings(np.concatenate(z), labels[rows], conf[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +416,8 @@ def ablate(config: TrainConfig, sensor, labelled, unlabelled, eval_scans,
                 records.append({"config": name, "seed": int(seed), "view": view,
                                 "miou": scores[view]["miou"]})
     for view in VIEWS:
-        means = []
-        for name, _ in rows:
-            vals = [r["miou"] for r in records if r["config"] == name and r["view"] == view]
-            means.append(np.mean(vals))
+        means = [np.mean([r["miou"] for r in records if (r["config"], r["view"]) == (name, view)])
+                 for name, _ in rows]
         if any(b < a - 1e-12 for a, b in zip(means, means[1:])):
             warnings.warn(
                 f"ablation mean mIoU not monotone for the {view} view: "

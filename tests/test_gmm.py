@@ -8,8 +8,8 @@ from peerseg.autodiff import Tensor
 from peerseg.errors import NumericError
 from peerseg.gmm import (AnchorSet, ClassSamples, bank_from_tensors, bank_tensors,
                          collect_embeddings, contrastive_loss, em_update, ema_update,
-                         merge_anchor_sets, mine_anchors, new_bank, responsibilities,
-                         sample_prototypes, weighted_log_likelihood)
+                         merge_anchor_sets, mine_anchors, new_bank, pool_rows,
+                         responsibilities, sample_prototypes, weighted_log_likelihood)
 from tape_ops import log, matmul, sub, tsum
 
 
@@ -276,6 +276,18 @@ def test_mine_anchors_keeps_gradient_path():
     assert np.abs(embeds.grad).sum() > 0
 
 
+@pytest.mark.parametrize("cap, num_correct, easy, hard", [
+    (1, 5, 1, 0), (1, 0, 0, 1), (3, 5, 2, 1), (3, 10, 3, 0), (3, 1, 1, 2)])
+def test_mine_anchors_fills_every_slot_of_an_odd_cap(cap, num_correct, easy, hard):
+    # the spare slot goes to the easy side, and a short side still backfills
+    rng = np.random.default_rng(6)
+    embeds = Tensor(rng.normal(size=(10, 2)), requires_grad=True)
+    targets = np.zeros(10, dtype=np.int64)
+    preds = (np.arange(10) >= num_correct).astype(np.int64)
+    out = mine_anchors(embeds, preds, targets, cap=cap, rng=rng)
+    assert (out.num_easy, out.num_hard, out.count) == (easy, hard, cap)
+
+
 def test_merge_anchor_sets_concatenates():
     rng = np.random.default_rng(4)
     e = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
@@ -288,16 +300,19 @@ def test_merge_anchor_sets_concatenates():
 
 def test_collect_embeddings_caps_per_class():
     rng = np.random.default_rng(5)
-    rz = rng.normal(size=(30, 3))
-    vz = rng.normal(size=(20, 3))
-    rl = np.zeros(30, dtype=np.int64)
-    vl = np.concatenate([np.zeros(5, dtype=np.int64), np.ones(15, dtype=np.int64)])
-    sets = collect_embeddings([(rz, rl, np.full(30, 0.9)), (vz, vl, np.full(20, 0.8))],
-                              cap_per_class=20, rng=rng, num_classes=3)
+    # 30 range rows of class 0, then 20 voxel rows: 5 of class 0 and 15 of class 1;
+    # two rows outside [0, num_classes) close the list and are never pooled
+    z = rng.normal(size=(52, 3))
+    labels = np.concatenate([np.zeros(35, dtype=np.int64), np.ones(15, dtype=np.int64), [3, -1]])
+    conf = np.concatenate([np.full(30, 0.9), np.full(22, 0.8)])
+    rows = pool_rows(labels, cap_per_class=20, rng=rng, num_classes=3)
+    assert (np.diff(rows) > 0).all() and rows.max() < 50
+    sets = collect_embeddings(z[rows], labels[rows], conf[rows])
     assert set(sets) == {0, 1}
     assert sets[0].count == 20
     assert sets[1].count == 15
     assert sets[1].conf == pytest.approx(np.full(15, 0.8))
+    assert np.array_equal(sets[1].z, z[35:50])
 
 
 # ---------------------------------------------------------------------------

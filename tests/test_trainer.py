@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import warnings
@@ -8,8 +9,12 @@ import pytest
 from peerseg import (PointScan, RangeImage, SceneConfig, SensorSpec, TrainConfig, VoxelGrid,
                      ablate, evaluate, generate_dataset, predict_point_probs, split_dataset,
                      train)
+from peerseg import autodiff as ad
+from peerseg import gmm as gmm_mod
+from peerseg import model as model_mod
 from peerseg import trainer as trainer_mod
 from peerseg.errors import ConfigError
+from peerseg.gmm import ClassSamples
 from peerseg.projection import _CellTable
 from peerseg.trainer import ABLATION_ROWS, METRIC_KEYS, VIEWS
 
@@ -242,6 +247,103 @@ def test_iteration_zero_component_isolation():
     p_off, p_bare = params_of(state_off), params_of(state_bare)
     for name in p_off:
         assert np.array_equal(p_off[name], p_bare[name])
+
+
+def project_every_row_contrast(config, params, bank, views, y_count, rng_anchor, rng_proto,
+                               rng_em, pool_log):
+    """Reference for `trainer._contrast`: project every row of both views first, mine
+    the anchors on the embeddings, then pool per class from all detached rows."""
+    anchor_sets, z = [], []
+    for k, (hidden, preds, targets, _) in enumerate(views):
+        emb = model_mod.project_embed(params[k], hidden)
+        anchor_sets.append(gmm_mod.mine_anchors(emb, preds, targets, config.anchor_cap,
+                                                rng_anchor))
+        z.append(emb.data)
+    loss = gmm_mod.contrastive_loss(gmm_mod.merge_anchor_sets(*anchor_sets), bank,
+                                    config.prototypes_per_class, trainer_mod.TEMPERATURE,
+                                    rng_proto)
+    z = np.concatenate(z)
+    labels, conf = (np.concatenate([v[i] for v in views]) for i in (2, 3))
+    sets = {}
+    for y in range(y_count):
+        idx = np.nonzero(labels == y)[0]
+        if idx.size == 0:
+            continue
+        if idx.size > config.embed_subsample_cap:
+            idx = np.sort(rng_em.choice(idx, size=config.embed_subsample_cap, replace=False))
+        pool_log.append(idx)
+        sets[y] = ClassSamples(z=z[idx], conf=conf[idx])
+    return loss, sets
+
+
+@pytest.mark.parametrize("hidden_voxel", [12, 8])
+def test_iteration_projects_only_the_chosen_rows(monkeypatch, hidden_voxel):
+    scans = tiny_dataset(6)
+    lab, unlab = split_dataset(scans, 0.34)
+    cfg = small_config(epochs=1, warmup_epochs=0, hidden_voxel=hidden_voxel)
+    # one epoch readies the mixtures, so the checked iteration's contrast is live
+    state, bank, _ = train(cfg, SENSOR, lab, unlab)
+    assert len(bank.ready_classes()) >= 2
+    batch_lab = trainer_mod._prepare(lab[:2], SENSOR)
+    batch_unlab = trainer_mod._prepare(unlab[:2], SENSOR, with_targets=False)
+    # rows per view over [labelled | unlabelled] cells; the pool numbers both views' rows
+    rows_per_view = [sum(b.grids[k].cells.shape[0] for b in batch_lab + batch_unlab)
+                     for k in range(2)]
+    take_rows, em_update = ad.take_rows, gmm_mod.em_update
+    project, pool_rows = model_mod.project_embed, gmm_mod.pool_rows
+
+    def run(reference):
+        st, bk = copy.deepcopy(state), copy.deepcopy(bank)
+        rngs = [np.random.default_rng(s) for s in (7, 8, 9)]
+        seen = {"anchor_rows": [], "class_sets": [], "pool_rows": [], "projected": [0, 0]}
+
+        def counted(view, hidden):
+            rows = getattr(hidden, "data", hidden).shape[0]
+            seen["projected"][int(view is st.voxel_view)] += rows
+            return project(view, hidden)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "take_rows", lambda a, idx: seen["anchor_rows"].append(
+                np.array(idx)) or take_rows(a, idx))
+            m.setattr(gmm_mod, "em_update", lambda b, sets, **kw: seen["class_sets"].append(
+                copy.deepcopy(sets)) or em_update(b, sets, **kw))
+            if reference:
+                m.setattr(trainer_mod, "_contrast", lambda *a: project_every_row_contrast(
+                    *a, pool_log=seen["pool_rows"]))
+            else:
+                m.setattr(model_mod, "project_embed", counted)
+                m.setattr(gmm_mod, "pool_rows", lambda *a: seen["pool_rows"].append(
+                    pool_rows(*a)) or seen["pool_rows"][-1])
+            parts, _ = trainer_mod._iteration(cfg, SENSOR, st, bk, batch_lab, batch_unlab,
+                                              scans[0].num_classes, 1, 3, 0.05, None, *rngs)
+        return parts, st, rngs, seen
+
+    got_parts, got_state, got_rngs, got = run(reference=False)
+    ref_parts, ref_state, ref_rngs, ref = run(reference=True)
+
+    # the same rows, drawn with the same streams
+    assert len(got["anchor_rows"]) == 2 and got["anchor_rows"][0].size > 0
+    for a, b in zip(got["anchor_rows"], ref["anchor_rows"], strict=True):
+        assert np.array_equal(a, b)
+    pool = got["pool_rows"][0]
+    assert np.array_equal(pool, np.sort(np.concatenate(ref["pool_rows"])))
+    for a, b in zip(got_rngs, ref_rngs):
+        assert a.bit_generator.state == b.bit_generator.state
+    # the same loss, gradients and mixture pool, up to the projector's summation order
+    assert got_parts["loss_contrastive"] > 0
+    for key in got_parts:
+        assert got_parts[key] == pytest.approx(ref_parts[key], rel=1e-12, abs=0)
+    for (name, p), (_, q) in zip(got_state.named_parameters(), ref_state.named_parameters()):
+        np.testing.assert_allclose(p.grad, q.grad, rtol=1e-12, atol=0, err_msg=name)
+    (got_sets,), (ref_sets,) = got["class_sets"], ref["class_sets"]
+    assert got_sets.keys() == ref_sets.keys()
+    for y in ref_sets:
+        assert np.array_equal(got_sets[y].conf, ref_sets[y].conf)
+        np.testing.assert_allclose(got_sets[y].z, ref_sets[y].z, rtol=1e-12, atol=0)
+    # each view projects its anchors and its pool rows, never every row
+    pool_per_view = np.bincount(pool >= rows_per_view[0], minlength=2)
+    for k in range(2):
+        assert got["projected"][k] <= cfg.anchor_cap + pool_per_view[k] < rows_per_view[k]
 
 
 # ---------------------------------------------------------------------------
