@@ -4,9 +4,9 @@ Each op builds a node holding its inputs and a closure that pushes the
 output adjoint back onto them; backward() walks the recorded graph in
 reverse topological order.  Plain numpy arrays entering an op are wrapped
 as constants, so anything meant to be gradient-free (targets, prototypes,
-detached activations) simply stays a numpy array.  The generic ops are add,
-mul and exp; the rest, like the loss terms and the prototype contrast, are
-single nodes that run a replaced op chain's numpy operations in its order.
+detached activations) simply stays a numpy array.  The generic ops are add
+and mul; the rest, like the supervised objective and the prototype contrast,
+are single nodes that run a replaced op chain's numpy operations in its order.
 """
 
 from __future__ import annotations
@@ -115,16 +115,6 @@ def mul(a, b) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _push=push)
 
 
-def exp(a) -> Tensor:
-    a = _wrap(a)
-    out_data = np.exp(a.data)
-
-    def push(g):
-        _accum(a, g * out_data)
-
-    return Tensor(out_data, _parents=(a,), _push=push)
-
-
 def linear(x, w, b, slope=None) -> Tensor:
     """One dense layer ``x @ w + b``, leaky-ReLU activated when ``slope`` is given.
 
@@ -154,42 +144,28 @@ def linear(x, w, b, slope=None) -> Tensor:
     return Tensor(out_data, _parents=(x, w, b), _push=push)
 
 
-def log_softmax(logits) -> Tensor:
-    """Row-wise log softmax; the max shift is a forward-value constant.
-
-    One tape node in place of the five-op chain shift - log(sum(exp(shift)))
-    over rows.  It runs the chain's numpy operations in their order, forward
-    and backward, so its values and gradients equal that chain's bit for bit.
-    """
-    logits = _wrap(logits)
-    shift = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shift)
-    s = e.sum(axis=1, keepdims=True)
-    out_data = shift - np.log(s)
-
-    def push(g):
-        _accum(logits, g + np.broadcast_to((-g).sum(axis=1, keepdims=True) / s, e.shape) * e)
-
-    return Tensor(out_data, _parents=(logits,), _push=push)
-
-
-def take_rows(a, idx) -> Tensor:
-    """Gather rows (leading-axis entries) by an integer index array of
-    distinct rows, so the push assigns each gradient row once."""
-    a = _wrap(a)
+def take_rows(parts, idx) -> Tensor:
+    """Gather distinct rows, numbered over the stack of ``parts`` (one tensor is a
+    one-part list), without stacking them; the push assigns each part's rows once."""
+    parts = [_wrap(p) for p in (parts if isinstance(parts, list) else [parts])]
     idx = np.asarray(idx, dtype=np.int64)
-    if np.unique(idx).size != idx.size:
-        raise ValueError("take_rows needs distinct rows")
-    out_data = a.data[idx]
+    starts = np.cumsum([0] + [p.data.shape[0] for p in parts])
+    if np.unique(idx).size != idx.size or ((idx < 0) | (idx >= starts[-1])).any():
+        raise ValueError("take_rows needs distinct rows of its parts")
+    part_of = np.searchsorted(starts, idx, side="right") - 1
+    picks = [(p, part_of == j, idx[part_of == j] - starts[j]) for j, p in enumerate(parts)]
+    out_data = np.empty((idx.size,) + parts[0].data.shape[1:])
+    for p, sel, rows in picks:
+        out_data[sel] = p.data[rows]
 
     def push(g):
-        if not a.needs_grad:
-            return
-        buf = np.zeros_like(a.data)
-        buf[idx] = g + 0.0  # + 0.0 turns -0.0 into the +0.0 that adding into zeros gives
-        _accum(a, buf)
+        for p, sel, rows in picks:
+            if p.needs_grad:
+                buf = np.zeros_like(p.data)
+                buf[rows] = g[sel] + 0.0  # -0.0 to the +0.0 that adding into zeros gives
+                _accum(p, buf)
 
-    return Tensor(out_data, _parents=(a,), _push=push)
+    return Tensor(out_data, _parents=tuple(parts), _push=push)
 
 
 def concat_rows(parts) -> Tensor:

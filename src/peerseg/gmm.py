@@ -268,18 +268,18 @@ class AnchorSet:
         return self.labels.shape[0]
 
 
-def mine_anchors(embeds: Tensor, predictions, targets, cap: int, rng) -> AnchorSet:
+def mine_anchors(embeds, predictions, targets, cap: int, rng) -> AnchorSet:
     """Half correctly-predicted cells, half mistakes, uniformly sampled.
 
-    ``embeds`` may hold rows of any per-cell feature tensor: the choice reads
-    only predictions and targets, and the set's z gathers the chosen rows,
-    so a caller can mine on trunk features and project the anchors after.
-    An odd cap gives its spare slot to the easy side.  When one pool is
-    short the other backfills, up to cap anchors total.
+    The choice reads only predictions and targets; z gathers the chosen rows of
+    ``embeds``, any per-cell feature tensor or a list of parts stacked over the
+    cells, so a caller can mine on trunk features and project the anchors after.
+    An odd cap gives its spare slot to the easy side; a short side is backfilled to cap.
     """
     predictions = np.asarray(predictions)
     targets = np.asarray(targets)
-    if embeds.data.shape[0] != predictions.shape[0] or predictions.shape[0] != targets.shape[0]:
+    rows = sum(p.data.shape[0] for p in (embeds if isinstance(embeds, list) else [embeds]))
+    if not rows == predictions.shape[0] == targets.shape[0]:
         raise ValueError("embeddings, predictions, and targets must align")
     if cap < 1:
         raise ValueError("cap must be >= 1")

@@ -27,16 +27,18 @@ order.  The blocks' sorted (row, column) pairs, raveled class-major, index
 the probabilities already in order: scan, ascending class, decreasing
 error.
 
-Each term is one tape node whose push assigns into a zero buffer once,
-since its (row, column) pairs are unique.  It writes 0.0 - x, not -x, so a
-zero adjoint is +0.0, as accumulating into the zeros would leave it.
+The supervised objective is one tape node over the logits that runs the
+steps of its old op chain (log softmax, cross-entropy gather, exp, Lovasz,
+add) in order, so it equals that chain bit for bit.  Each gather's adjoint
+is assigned into zeros once, its (row, column) pairs being unique, as
+0.0 - x, not -x, so a zero adjoint is +0.0, as accumulating would leave it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor, _accum, add, exp, log_softmax
+from .autodiff import Tensor, _accum
 from .projection import cross_transfer
 
 
@@ -66,14 +68,9 @@ def make_pseudo_labels(range_probs: np.ndarray, voxel_probs: np.ndarray,
     return pseudo_for_range, pseudo_for_voxel
 
 
-def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
-    """Lovasz softmax per scan, averaged over its present classes, then over scans.
-
-    ``probs`` stacks every scan's covered cells; ``slices`` lists each
-    scan's (start, stop) row range and ``targets`` aligns with the rows.
-    One tape node over every scan's errors in sorted order.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
+def _lovasz(probs: np.ndarray, targets: np.ndarray, slices):
+    """The Lovasz term's value and its map from an upstream g to the adjoint of
+    probs (None when no scan has a cell): the one implementation both nodes use."""
     rows_parts, cols_parts, fg_parts, weight_parts = [], [], [], []
     for start, stop in slices:
         present = np.unique(targets[start:stop])
@@ -81,7 +78,7 @@ def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
             continue
         # (present classes, cells) block, each row sorted by decreasing error
         fg = (targets[start:stop] == present[:, None]).astype(np.float64)
-        keys = -np.abs(fg - probs.data[start:stop, present].T)
+        keys = -np.abs(fg - probs[start:stop, present].T)
         order = np.argsort(keys, axis=1)
         ranked = np.take_along_axis(keys, order, axis=1)
         if (ranked[:, 1:] == ranked[:, :-1]).any():  # a tie: only a stable sort fixes its order
@@ -93,18 +90,31 @@ def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
         fg_parts.append(fg.ravel())
         weight_parts.append((_lovasz_weights(fg) * scale).ravel())
     if not rows_parts:
-        return Tensor(0.0)
+        return 0.0, None
     rows, cols = np.concatenate(rows_parts), np.concatenate(cols_parts)
     weights = np.concatenate(weight_parts)
-    diff = np.concatenate(fg_parts) - probs.data[rows, cols]
+    diff = np.concatenate(fg_parts) - probs[rows, cols]
     sign = np.sign(diff)  # fixed at its forward value: the errors are |diff|
 
-    def push(g):
-        buf = np.zeros_like(probs.data)
+    def adjoint(g):
+        buf = np.zeros_like(probs)
         buf[rows, cols] = 0.0 - g * weights * sign
-        _accum(probs, buf)
+        return buf
 
-    return Tensor((diff * sign * weights).sum(), _parents=(probs,), _push=push)
+    return (diff * sign * weights).sum(), adjoint
+
+
+def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
+    """Lovasz softmax per scan, averaged over its present classes, then over scans.
+
+    ``probs`` stacks every scan's covered cells; ``slices`` lists each
+    scan's (start, stop) row range and ``targets`` aligns with the rows.
+    One tape node over every scan's errors in sorted order.
+    """
+    value, adjoint = _lovasz(probs.data, np.asarray(targets, dtype=np.int64), slices)
+    if adjoint is None:
+        return Tensor(0.0)
+    return Tensor(value, _parents=(probs,), _push=lambda g: _accum(probs, adjoint(g)))
 
 
 def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
@@ -113,24 +123,32 @@ def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
     ``logits`` stacks every scan's covered cells; ``slices`` lists each
     scan's (start, stop) row range and ``targets`` aligns with the rows.
     Per scan, cross entropy averaged over its cells plus the Lovasz softmax
-    loss; the scan losses are averaged over the set.
+    loss of the row-wise softmax (its max shift a forward-value constant);
+    the scan losses are averaged over the set.
     """
     targets = np.asarray(targets, dtype=np.int64)
     if not slices:
         return Tensor(0.0)
-    num_scans = len(slices)
-    logp = log_softmax(logits)
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    s = e.sum(axis=1, keepdims=True)
+    logp = shift - np.log(s)
 
     # cross entropy: one weighted gather, weight 1/(num_scans * cells_in_scan)
     ce_w = np.empty(targets.shape[0])
     for start, stop in slices:
-        ce_w[start:stop] = 1.0 / (num_scans * max(stop - start, 1))
+        ce_w[start:stop] = 1.0 / (len(slices) * max(stop - start, 1))
     cells = np.arange(targets.shape[0])
+    probs = np.exp(logp)
+    lovasz, adjoint = _lovasz(probs, targets, slices)
+    value = (logp[cells, targets] * ce_w).sum() * -1.0 + lovasz
 
     def push(g):
-        buf = np.zeros_like(logp.data)
-        buf[cells, targets] = 0.0 - g * ce_w
-        _accum(logp, buf)
+        g_logp = np.zeros_like(logp)
+        g_logp[cells, targets] = 0.0 - g * ce_w
+        if adjoint is not None:
+            g_logp = g_logp + adjoint(g) * probs
+        _accum(logits, g_logp + np.broadcast_to((-g_logp).sum(axis=1, keepdims=True) / s,
+                                                e.shape) * e)
 
-    ce = Tensor((logp.data[cells, targets] * ce_w).sum() * -1.0, _parents=(logp,), _push=push)
-    return add(ce, lovasz_set_loss(exp(logp), targets, slices))
+    return Tensor(value, _parents=(logits,), _push=push)

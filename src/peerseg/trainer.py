@@ -287,7 +287,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
                 sets.append((unlab[k], pseudo_t[k], pseudo_c[k]))
             fwds, targets, conf = zip(*sets)
             preds = [np.argmax(f[1].data, axis=1) for f in fwds]
-            views.append((ad.concat_rows([f[0] for f in fwds]),
+            views.append(([f[0] for f in fwds],
                           *map(np.concatenate, (preds, targets, conf))))
         loss_ctr, class_sets = _contrast(config, params, bank, views, y_count,
                                          rng_anchor, rng_proto, rng_em)
@@ -315,7 +315,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
 
 
 def _contrast(config, params, bank, views, y_count, rng_anchor, rng_proto, rng_em):
-    """Contrastive loss and pool class sets from per view (hidden, predictions, targets,
+    """Contrastive loss and pool class sets from per view (hidden parts, predictions, targets,
     confidences); the projector sees only the anchors (taped) and pool rows (detached)."""
     mined = [gmm_mod.mine_anchors(h, p, t, config.anchor_cap, rng_anchor) for h, p, t, _ in views]
     anchors = [replace(a, z=model_mod.project_embed(w, a.z)) for w, a in zip(params, mined)]
@@ -323,9 +323,14 @@ def _contrast(config, params, bank, views, y_count, rng_anchor, rng_proto, rng_e
                                     config.prototypes_per_class, TEMPERATURE, rng_proto)
     labels, conf = (np.concatenate([v[i] for v in views]) for i in (2, 3))
     rows = gmm_mod.pool_rows(labels, config.embed_subsample_cap, rng_em, y_count)
-    first = views[0][0].data.shape[0]          # the pool numbers rows over both views
-    z = [model_mod.project_embed(w, v[0].data[r]).data for w, v, r in
-         zip(params, views, (rows[rows < first], rows[rows >= first] - first))]
+    # the pool numbers rows over both views' parts; rows ascend, so each part's are one run
+    hidden = [h.data for v in views for h in v[0]]
+    starts = np.cumsum([0] + [h.shape[0] for h in hidden])
+    cuts = np.searchsorted(rows, starts)
+    picked = [h[rows[a:b] - s] for h, s, a, b in zip(hidden, starts, cuts, cuts[1:])]
+    n = len(views[0][0])
+    z = [model_mod.project_embed(w, np.concatenate(p)).data
+         for w, p in zip(params, (picked[:n], picked[n:]))]
     return loss, gmm_mod.collect_embeddings(np.concatenate(z), labels[rows], conf[rows])
 
 

@@ -1,9 +1,9 @@
 """Tape ops that the program no longer uses, kept as test references.
 
-The fused nodes (`log_softmax`, `linear`, `normalize_rows`, the loss terms,
-the prototype contrast) each replaced a chain of tape ops and must equal
-that chain, most of them bit for bit.  These are the chain ops `autodiff`
-used to define, so the tests can rebuild the chains and compare.
+The fused nodes (`linear`, `normalize_rows`, the supervised objective, the
+Lovasz term, the prototype contrast) each replaced a chain of tape ops and
+must equal that chain, most of them bit for bit.  These are the chain ops
+`autodiff` used to define, so the tests can rebuild the chains and compare.
 """
 
 import numpy as np
@@ -35,6 +35,35 @@ def matmul(a, b) -> Tensor:
             _accum(b, a.data.T @ g)
 
     return Tensor(out_data, _parents=(a, b), _push=push)
+
+
+def exp(a) -> Tensor:
+    a = _wrap(a)
+    out_data = np.exp(a.data)
+
+    def push(g):
+        _accum(a, g * out_data)
+
+    return Tensor(out_data, _parents=(a,), _push=push)
+
+
+def log_softmax(logits) -> Tensor:
+    """Row-wise log softmax; the max shift is a forward-value constant.
+
+    One tape node in place of the five-op chain shift - log(sum(exp(shift)))
+    over rows.  It runs the chain's numpy operations in their order, forward
+    and backward, so its values and gradients equal that chain's bit for bit.
+    """
+    logits = _wrap(logits)
+    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(shift)
+    s = e.sum(axis=1, keepdims=True)
+    out_data = shift - np.log(s)
+
+    def push(g):
+        _accum(logits, g + np.broadcast_to((-g).sum(axis=1, keepdims=True) / s, e.shape) * e)
+
+    return Tensor(out_data, _parents=(logits,), _push=push)
 
 
 def log(a) -> Tensor:

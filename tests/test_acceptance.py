@@ -24,13 +24,13 @@ from peerseg.augment import cutmix_range, inclination_bands, lasermix_voxel
 from peerseg.gmm import (AnchorSet, ClassSamples, contrastive_loss, em_update,
                          mine_anchors, new_bank, sample_prototypes,
                          weighted_log_likelihood)
-from peerseg.losses import (log_softmax, lovasz_set_loss, make_pseudo_labels,
-                            set_supervised_loss)
+from peerseg.losses import lovasz_set_loss, make_pseudo_labels, set_supervised_loss
 from peerseg.projection import (RangeImage, cells_to_points, point_labels_to_grid,
                                 project_to_range, project_to_voxel)
 from peerseg.scans import PointScan
 from peerseg.trainer import ABLATION_ROWS, TEMPERATURE
 from scoring import miou_batchwise, miou_global
+from tape_ops import exp, log_softmax
 
 
 def report(num, name, ok, detail):
@@ -164,7 +164,7 @@ def _set_forward(view, grids):
 
 
 def _lovasz_half(logits, targets, slices):
-    return lovasz_set_loss(ad.exp(log_softmax(logits)), targets, slices)
+    return lovasz_set_loss(exp(log_softmax(logits)), targets, slices)
 
 
 def _build_set_loss(seed, loss):

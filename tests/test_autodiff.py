@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
-from tape_ops import div, matmul, sqrt, tsum
+from tape_ops import div, exp, matmul, sqrt, tsum
 
 STEP = 1e-5
 TOL = 1e-4
@@ -74,7 +74,7 @@ def test_broadcast_grads():
 def test_exp_log_sqrt_grads():
     rng = np.random.default_rng(3)
     a = rand_param(rng, 2, 3)
-    fd_check(lambda: mean(ad.exp(a)), [a])
+    fd_check(lambda: mean(exp(a)), [a])
 
 
 def leaky_relu(a, slope):
@@ -166,6 +166,30 @@ def test_take_rows_push_equals_add_at_bit_for_bit():
     np.add.at(want, idx, upstream * 1.0)
     assert a.grad.tobytes() == want.tobytes()
     assert np.signbit(a.grad[[5, 2], [1, 3]]).tolist() == [False, False]
+
+
+def test_take_rows_over_parts_equals_a_gather_after_concat_bit_for_bit():
+    rng = np.random.default_rng(10)
+    # stacked rows: 0-2, an empty part, 3-6, 7-8 (never chosen), 9-13
+    data = [rng.normal(size=(n, 3)) for n in (3, 0, 4, 2, 5)]
+    idx = np.array([11, 0, 5, 2, 13, 3, 6])
+    upstream = rng.normal(size=(idx.size, 3))
+    upstream[1, 2] = upstream[4, 0] = -0.0
+    results = []
+    for stacked in (False, True):
+        parts = [Tensor(d, requires_grad=True) for d in data]
+        out = ad.take_rows(ad.concat_rows(parts) if stacked else parts, idx)
+        tsum(ad.mul(out, upstream)).backward()
+        results.append([out.data] + [p.grad for p in parts])
+    for got, want in zip(*results):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the -0.0 upstream entries land on stacked rows 0 and 13 as +0.0
+    assert np.signbit([parts[0].grad[0, 2], parts[4].grad[4, 0]]).tolist() == [False, False]
+    assert ad.take_rows(parts, idx)._parents == tuple(parts)
+    with pytest.raises(ValueError, match="distinct"):
+        ad.take_rows(parts, np.array([4, 0, 4]))
+    with pytest.raises(ValueError):
+        ad.take_rows(parts, np.array([0, 14]))
 
 
 def test_concat_rows_grads():

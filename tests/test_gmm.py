@@ -10,7 +10,7 @@ from peerseg.gmm import (AnchorSet, ClassSamples, bank_from_tensors, bank_tensor
                          collect_embeddings, contrastive_loss, em_update, ema_update,
                          merge_anchor_sets, mine_anchors, new_bank, pool_rows,
                          responsibilities, sample_prototypes, weighted_log_likelihood)
-from tape_ops import log, matmul, sub, tsum
+from tape_ops import exp, log, matmul, sub, tsum
 
 
 def antithetic_two_cluster(rng, dim=2, n_pairs_per=125, sep=3.0):
@@ -412,8 +412,8 @@ def per_class_contrastive(anchors, bank, prototypes_per_class, temperature, rng)
         neg = np.concatenate([protos[c] for c in ready if c != y], axis=0)
         pos_logits = ad.mul(matmul(a, pos.T), inv_t)
         neg_logits = ad.mul(matmul(a, neg.T), inv_t)
-        neg_sum = tsum(ad.exp(neg_logits), axis=1, keepdims=True)
-        per_pair = sub(log(ad.add(ad.exp(pos_logits), neg_sum)), pos_logits)
+        neg_sum = tsum(exp(neg_logits), axis=1, keepdims=True)
+        per_pair = sub(log(ad.add(exp(pos_logits), neg_sum)), pos_logits)
         term = tsum(per_pair)
         total = term if total is None else ad.add(total, term)
         pair_count += rows.size * pos.shape[0]
@@ -464,7 +464,7 @@ def chain_contrastive(anchors, bank, prototypes_per_class, temperature, rng):
         return Tensor(0.0)
     pos = anchors.labels[rows, None] == np.repeat(ready, prototypes_per_class)[None, :]
     logits = ad.mul(matmul(ad.take_rows(anchors.z, rows), protos.T), 1.0 / temperature)
-    e = ad.exp(logits)
+    e = exp(logits)
     neg_sum = tsum(ad.mul(e, ~pos), axis=1, keepdims=True)
     per_pair = sub(log(ad.add(e, neg_sum)), logits)
     total = tsum(ad.mul(per_pair, pos))

@@ -7,8 +7,8 @@ from peerseg import (PointScan, SensorSpec, make_pseudo_labels,
                      project_to_range, project_to_voxel, set_supervised_loss)
 from peerseg import autodiff as ad
 from peerseg.autodiff import Tensor
-from peerseg.losses import log_softmax, lovasz_set_loss
-from tape_ops import detached_sign_abs, log, sub, take_at, tsum
+from peerseg.losses import lovasz_set_loss
+from tape_ops import detached_sign_abs, exp, log, log_softmax, sub, take_at, tsum
 
 
 def T(x):
@@ -91,7 +91,7 @@ def test_set_supervised_loss_averages_scans():
 def log_softmax_chain(logits):
     """Log softmax as five tape ops: the reference the one-node op must match."""
     shift = sub(logits, logits.data.max(axis=1, keepdims=True))
-    return sub(shift, log(tsum(ad.exp(shift), axis=1, keepdims=True)))
+    return sub(shift, log(tsum(exp(shift), axis=1, keepdims=True)))
 
 
 def test_log_softmax_equals_the_five_op_chain_bit_for_bit():
@@ -105,18 +105,27 @@ def test_log_softmax_equals_the_five_op_chain_bit_for_bit():
         logp = build(logits)
         # both consumers of the supervised loss: a cross-entropy gather and exp
         loss = ad.add(tsum(take_at(logp, np.arange(9), targets)),
-                      tsum(ad.mul(ad.exp(logp), weights)))
+                      tsum(ad.mul(exp(logp), weights)))
         loss.backward()
         results.append((logp.data, logits.grad))
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes()
 
 
-def test_log_softmax_stable_at_large_logits():
-    out = log_softmax(T([[1000.0, 1000.0 - math.log(3.0)]]))
-    assert np.isfinite(out.data).all()
-    assert out.data[0].tolist() == pytest.approx(
-        [math.log(0.75), math.log(0.25)], abs=1e-12)
+def test_set_supervised_loss_stable_at_large_logits():
+    rng = np.random.default_rng(12)
+    small = rng.normal(size=(6, 3))
+    targets = rng.integers(0, 3, size=6)
+    results = []
+    for data in (small + 1000.0, small):
+        x = T(data)
+        loss = set_supervised_loss(x, targets, [(0, 2), (2, 6)])
+        loss.backward()
+        assert np.isfinite(loss.data) and np.isfinite(x.grad).all()
+        results.append((float(loss.data), x.grad))
+    (value, grad), (want_value, want_grad) = results
+    assert value == pytest.approx(want_value, abs=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +205,7 @@ def test_lovasz_gradient_matches_fd():
     logits = T(rng.normal(size=(6, 3)))
     targets = rng.integers(0, 3, size=6)
     assert _fd_gradient_errors(
-        lambda: lovasz_set_loss(ad.exp(log_softmax(logits)), targets, one_slice(6)),
+        lambda: lovasz_set_loss(exp(log_softmax(logits)), targets, one_slice(6)),
         logits) < 1e-4
 
 
@@ -276,7 +285,7 @@ def test_lovasz_block_sort_equals_per_segment_reference_bit_for_bit(case):
     results = []
     for build in (lovasz_set_loss, per_segment_lovasz):
         x = T(data)
-        probs = ad.exp(log_softmax(x)) if kind == "logits" else x
+        probs = exp(log_softmax(x)) if kind == "logits" else x
         loss = build(probs, targets, slices)
         if loss.needs_grad:
             loss.backward()
@@ -303,18 +312,19 @@ def test_lovasz_block_with_ties_takes_the_stable_order():
 
 
 def chain_set_supervised_loss(logits, targets, slices):
-    """The supervised objective as a chain of generic tape ops: a weighted
-    cross-entropy gather plus the per-segment Lovasz chain."""
+    """The supervised objective as a chain of generic tape ops: the five-op
+    log softmax, a weighted cross-entropy gather plus the per-segment Lovasz
+    chain over its exp."""
     targets = np.asarray(targets, dtype=np.int64)
     if not slices:
         return Tensor(0.0)
-    logp = log_softmax(logits)
+    logp = log_softmax_chain(logits)
     ce_w = np.empty(targets.shape[0])
     for start, stop in slices:
         ce_w[start:stop] = 1.0 / (len(slices) * max(stop - start, 1))
     picked = take_at(logp, np.arange(targets.shape[0]), targets)
     ce = ad.mul(tsum(ad.mul(picked, ce_w)), -1.0)
-    return ad.add(ce, per_segment_lovasz(ad.exp(logp), targets, slices))
+    return ad.add(ce, per_segment_lovasz(exp(logp), targets, slices))
 
 
 def value_and_grad_bytes(build, data, scale):
@@ -327,20 +337,22 @@ def value_and_grad_bytes(build, data, scale):
     return loss.data.tobytes(), None if x.grad is None else x.grad.tobytes()
 
 
-@pytest.mark.parametrize("scale", [None, 0.7])
+@pytest.mark.parametrize("scale", [None, 0.7, 0.0])
 @pytest.mark.parametrize("case", list(lovasz_cases()), ids=lambda case: case[0])
 def test_loss_nodes_equal_the_op_chains_bit_for_bit(case, scale):
-    # scale 0.7 puts an upstream gradient other than 1 into each node's push
+    # scales 0.7 and 0.0 put an upstream gradient other than 1 into each node's push
     _, kind, data, targets, slices = case
 
     def probs(x):
-        return ad.exp(log_softmax(x)) if kind == "logits" else x
+        return exp(log_softmax(x)) if kind == "logits" else x
 
     for node, chain, to_input in ((set_supervised_loss, chain_set_supervised_loss, lambda x: x),
                                   (lovasz_set_loss, per_segment_lovasz, probs)):
         got, want = (value_and_grad_bytes(lambda x: loss_fn(to_input(x), targets, slices),
                                           data, scale) for loss_fn in (node, chain))
         assert got == want
+    logits = T(data)
+    assert set_supervised_loss(logits, targets, slices)._parents == (logits,)
 
 
 def test_lovasz_skips_empty_scans():

@@ -251,11 +251,12 @@ def test_iteration_zero_component_isolation():
 
 def project_every_row_contrast(config, params, bank, views, y_count, rng_anchor, rng_proto,
                                rng_em, pool_log):
-    """Reference for `trainer._contrast`: project every row of both views first, mine
-    the anchors on the embeddings, then pool per class from all detached rows."""
+    """Reference for `trainer._contrast`: stack each view's hidden parts, project every
+    row of both views, mine the anchors on the embeddings, then pool per class from all
+    detached rows."""
     anchor_sets, z = [], []
     for k, (hidden, preds, targets, _) in enumerate(views):
-        emb = model_mod.project_embed(params[k], hidden)
+        emb = model_mod.project_embed(params[k], ad.concat_rows(hidden))
         anchor_sets.append(gmm_mod.mine_anchors(emb, preds, targets, config.anchor_cap,
                                                 rng_anchor))
         z.append(emb.data)
