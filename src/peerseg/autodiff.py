@@ -144,28 +144,23 @@ def linear(x, w, b, slope=None) -> Tensor:
     return Tensor(out_data, _parents=(x, w, b), _push=push)
 
 
-def take_rows(parts, idx) -> Tensor:
-    """Gather distinct rows, numbered over the stack of ``parts`` (one tensor is a
-    one-part list), without stacking them; the push assigns each part's rows once."""
-    parts = [_wrap(p) for p in (parts if isinstance(parts, list) else [parts])]
+def take_rows(a, idx) -> Tensor:
+    """Gather distinct rows (leading-axis entries) of ``a`` by an integer index
+    array, so the push assigns each gradient row once."""
+    a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
-    starts = np.cumsum([0] + [p.data.shape[0] for p in parts])
-    if np.unique(idx).size != idx.size or ((idx < 0) | (idx >= starts[-1])).any():
-        raise ValueError("take_rows needs distinct rows of its parts")
-    part_of = np.searchsorted(starts, idx, side="right") - 1
-    picks = [(p, part_of == j, idx[part_of == j] - starts[j]) for j, p in enumerate(parts)]
-    out_data = np.empty((idx.size,) + parts[0].data.shape[1:])
-    for p, sel, rows in picks:
-        out_data[sel] = p.data[rows]
+    if np.unique(idx).size != idx.size or ((idx < 0) | (idx >= a.data.shape[0])).any():
+        raise ValueError("take_rows needs distinct rows of its input")
+    out_data = a.data[idx]
 
     def push(g):
-        for p, sel, rows in picks:
-            if p.needs_grad:
-                buf = np.zeros_like(p.data)
-                buf[rows] = g[sel] + 0.0  # -0.0 to the +0.0 that adding into zeros gives
-                _accum(p, buf)
+        if not a.needs_grad:
+            return
+        buf = np.zeros_like(a.data)
+        buf[idx] = g + 0.0  # -0.0 to the +0.0 that adding into zeros gives
+        _accum(a, buf)
 
-    return Tensor(out_data, _parents=tuple(parts), _push=push)
+    return Tensor(out_data, _parents=(a,), _push=push)
 
 
 def concat_rows(parts) -> Tensor:

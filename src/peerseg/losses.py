@@ -118,18 +118,23 @@ def lovasz_set_loss(probs: Tensor, targets, slices) -> Tensor:
 
 
 def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
-    """The supervised objective of one view on a set of scans.
+    """The supervised objective of one view on a window of consecutive scans.
 
-    ``logits`` stacks every scan's covered cells; ``slices`` lists each
-    scan's (start, stop) row range and ``targets`` aligns with the rows.
-    Per scan, cross entropy averaged over its cells plus the Lovasz softmax
-    loss of the row-wise softmax (its max shift a forward-value constant);
-    the scan losses are averaged over the set.
+    ``targets`` aligns with the rows of ``logits``; ``slices`` lists each
+    scan's (start, stop) row range, consecutive, and only the window of rows
+    [slices[0][0], slices[-1][1]) counts.  Per scan, cross entropy averaged
+    over its cells plus the Lovasz softmax loss of the row-wise softmax (its
+    max shift a forward-value constant); the scan losses are averaged over the
+    set.  The push assigns the window's gradient into one zero buffer of the
+    logits' shape.
     """
-    targets = np.asarray(targets, dtype=np.int64)
     if not slices:
         return Tensor(0.0)
-    shift = logits.data - logits.data.max(axis=1, keepdims=True)
+    lo, hi = slices[0][0], slices[-1][1]
+    targets = np.asarray(targets, dtype=np.int64)[lo:hi]
+    slices = [(start - lo, stop - lo) for start, stop in slices]
+    x = logits.data[lo:hi]
+    shift = x - x.max(axis=1, keepdims=True)
     e = np.exp(shift)
     s = e.sum(axis=1, keepdims=True)
     logp = shift - np.log(s)
@@ -148,7 +153,9 @@ def set_supervised_loss(logits: Tensor, targets, slices) -> Tensor:
         g_logp[cells, targets] = 0.0 - g * ce_w
         if adjoint is not None:
             g_logp = g_logp + adjoint(g) * probs
-        _accum(logits, g_logp + np.broadcast_to((-g_logp).sum(axis=1, keepdims=True) / s,
-                                                e.shape) * e)
+        buf = np.zeros_like(logits.data)
+        buf[lo:hi] = g_logp + np.broadcast_to((-g_logp).sum(axis=1, keepdims=True) / s,
+                                              e.shape) * e
+        _accum(logits, buf)
 
     return Tensor(value, _parents=(logits,), _push=push)

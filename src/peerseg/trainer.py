@@ -1,17 +1,18 @@
 """End-to-end training of the two peer views on partially labelled scans.
 
-Per iteration, in order: forward both views on the labelled batch and (when
-peer supervision is on) a clean forward on the unlabelled batch; swap the
-detached soft predictions across views into hard pseudo labels with
-confidences; build the augmented unlabelled inputs and targets (column
-CutMix for the range view, inclination-band mixing for the voxel view);
-assemble the loss (per view, labelled term + pseudo term, each cross
-entropy + Lovasz, plus the prototype contrastive term); update the
-per-class mixture bank from detached embeddings (EM then EMA shadow);
-backward; one joint SGD (or AdamW) step with polynomial learning-rate
-decay for both views.  The two views are peers, so each step is written
-once, as a loop over VIEWS: a view's grids, targets, pseudo labels,
-parameters and mixing augmentation sit in parallel pairs indexed by view.
+Per iteration, in order: one clean forward per view over the batch's
+[labelled | unlabelled] cells (the unlabelled ones only when peer supervision
+is on); swap the detached soft predictions on the unlabelled rows across
+views into hard pseudo labels with confidences; build the augmented
+unlabelled inputs and targets (column CutMix for the range view,
+inclination-band mixing for the voxel view); assemble the loss (per view,
+labelled term + pseudo term, each cross entropy + Lovasz, plus the
+prototype contrastive term); update the per-class mixture bank from
+detached embeddings (EM then EMA shadow); backward; one joint SGD (or
+AdamW) step with polynomial learning-rate decay for both views.  The two
+views are peers, so each step is written once, as a loop over VIEWS: a
+view's grids, targets, pseudo labels, parameters and mixing augmentation
+sit in parallel pairs indexed by view.
 
 The contrast's anchors and the mixture's pool rows are chosen on the trunk
 features before anything is embedded, and the projector runs on those rows alone.
@@ -177,20 +178,22 @@ def train(config: TrainConfig, sensor: SensorSpec, labelled, unlabelled,
     bank = gmm_mod.new_bank(y_count, config.gmm_components, config.embed_dim)
     optimizer = model_mod.AdamW(state.parameters()) if config.optimizer == "adamw" else None
 
+    # unlabelled scans feed only the peer terms, so without them none is projected;
+    # their count still sets the epoch length and the batch-order draws
+    use_unlab = bool(unlabelled) and config.use_cross_supervision
     lab = _prepare(labelled, sensor, with_targets=True)
-    unlab = _prepare(unlabelled, sensor, with_targets=False)
+    unlab = _prepare(unlabelled, sensor, with_targets=False) if use_unlab else []
     evals = _prepare(eval_scans, sensor, with_targets=False) if eval_scans else None
 
-    use_unlab = bool(unlab) and config.use_cross_supervision
-    iters_per_epoch = max(1, math.ceil(max(len(lab), len(unlab)) / config.batch_size))
+    iters_per_epoch = max(1, math.ceil(max(len(lab), len(unlabelled)) / config.batch_size))
     total_iters = max(1, config.epochs * iters_per_epoch)
 
     metrics = []
     global_iter = 0
     for epoch in range(config.epochs):
         order_lab = np.resize(rng_data.permutation(len(lab)), iters_per_epoch * config.batch_size)
-        order_unlab = np.resize(rng_data.permutation(len(unlab)),
-                                iters_per_epoch * config.batch_size) if unlab else None
+        order_unlab = np.resize(rng_data.permutation(len(unlabelled)),
+                                iters_per_epoch * config.batch_size) if unlabelled else None
         sums = {k: 0.0 for k in LOSS_KEYS}
         pseudo_counts = np.zeros((2, y_count), dtype=np.int64)
         for it in range(iters_per_epoch):
@@ -243,52 +246,49 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
         hidden = model_mod.trunk_hidden(params[k], np.concatenate(mats, axis=0))
         return hidden, model_mod.segment_logits(params[k], hidden), list(zip([0] + stops, stops))
 
-    # labelled forward, per view: (hidden, logits, slices)
-    lab = [forward(k, [b.grids[k].cells for b in batch_lab]) for k in range(2)]
-    lab_targets = [np.concatenate([b.targets[k] for b in batch_lab]) for k in range(2)]
-    loss_lab = [losses_mod.set_supervised_loss(lab[k][1], lab_targets[k], lab[k][2])
-                for k in range(2)]
+    # one clean forward per view over the [labelled | unlabelled] cells
+    clean = [forward(k, [b.grids[k].cells for b in batch_lab + batch_unlab]) for k in range(2)]
+    n = len(batch_lab)
+    # per view and scan: targets [ground truth | pseudo] and confidences [ones | pseudo]
+    targets = [[b.targets[k] for b in batch_lab] for k in range(2)]
+    conf = [[np.ones(t.shape[0]) for t in targets[k]] for k in range(2)]
+    if batch_unlab:
+        # the unlabelled rows' predictions detach here
+        probs = [[model_mod.probs_grid(b.grids[k], logits.data[start:stop], y_count)
+                  for b, (start, stop) in zip(batch_unlab, slices[n:])]
+                 for k, (_, logits, slices) in enumerate(clean)]
+        for rp, vp, b in zip(*probs, batch_unlab):
+            # each view's labels for the scan, moved over from the other view
+            for k, p in enumerate(losses_mod.make_pseudo_labels(rp, vp, *b.grids)):
+                targets[k].append(p.cell_labels)
+                conf[k].append(p.cell_confidence)
+    pseudo_cells = [t[n:] for t in targets]
+    targets, conf = ([np.concatenate(c) for c in x] for x in (targets, conf))
+    loss_lab = [losses_mod.set_supervised_loss(logits, targets[k], slices[:n])
+                for k, (_, logits, slices) in enumerate(clean)]
     loss_pse = [Tensor(0.0), Tensor(0.0)]
     loss_ctr = Tensor(0.0)
     pseudo_counts = np.zeros((2, y_count), dtype=np.int64)
 
     if batch_unlab:
-        # clean forward on the unlabelled batch; predictions detach here
-        unlab = [forward(k, [b.grids[k].cells for b in batch_unlab]) for k in range(2)]
-        probs = [[model_mod.probs_grid(b.grids[k], logits.data[start:stop], y_count)
-                  for b, (start, stop) in zip(batch_unlab, slices)]
-                 for k, (_, logits, slices) in enumerate(unlab)]
-        # pseudo[k][i]: scan i's labels for view k, moved over from the other view
-        pseudo = list(zip(*(losses_mod.make_pseudo_labels(rp, vp, *b.grids)
-                            for rp, vp, b in zip(*probs, batch_unlab))))
-        pseudo_cells = [[p.cell_labels for p in pseudo[k]] for k in range(2)]
-        pseudo_t = [np.concatenate(c) for c in pseudo_cells]
-        pseudo_c = [np.concatenate([p.cell_confidence for p in pseudo[k]]) for k in range(2)]
-        pseudo_counts = np.stack([np.bincount(t, minlength=y_count) for t in pseudo_t])
+        pseudo_counts = np.stack([np.bincount(np.concatenate(c), minlength=y_count)
+                                  for c in pseudo_cells])
         ramp = min(1.0, (epoch + 1) / config.pseudo_ramp_epochs) \
             if config.pseudo_ramp_epochs > 0 else 1.0
         for k in range(2):
             if config.use_augmentation:
                 # pseudo terms on mixed inputs with mixed targets
-                cells, targets = MIXERS[k](batch_unlab, pseudo_cells[k], sensor, y_count)
+                cells, mixed = MIXERS[k](batch_unlab, pseudo_cells[k], sensor, y_count)
                 _, logits, slices = forward(k, cells)
-                loss = losses_mod.set_supervised_loss(logits, np.concatenate(targets), slices)
+                loss = losses_mod.set_supervised_loss(logits, np.concatenate(mixed), slices)
             else:
-                loss = losses_mod.set_supervised_loss(unlab[k][1], pseudo_t[k], unlab[k][2])
+                loss = losses_mod.set_supervised_loss(clean[k][1], targets[k], clean[k][2][n:])
             loss_pse[k] = loss if ramp == 1.0 else ad.mul(loss, ramp)
 
     class_sets = None
     if config.use_contrastive and epoch >= config.warmup_epochs:
-        views = []
-        for k in range(2):
-            # (forward, targets, confidences): labelled cells, then pseudo-labelled ones
-            sets = [(lab[k], lab_targets[k], np.ones(lab_targets[k].shape[0]))]
-            if batch_unlab:
-                sets.append((unlab[k], pseudo_t[k], pseudo_c[k]))
-            fwds, targets, conf = zip(*sets)
-            preds = [np.argmax(f[1].data, axis=1) for f in fwds]
-            views.append(([f[0] for f in fwds],
-                          *map(np.concatenate, (preds, targets, conf))))
+        views = [(hidden, np.argmax(logits.data, axis=1), t, c)
+                 for (hidden, logits, _), t, c in zip(clean, targets, conf)]
         loss_ctr, class_sets = _contrast(config, params, bank, views, y_count,
                                          rng_anchor, rng_proto, rng_em)
 
@@ -315,7 +315,7 @@ def _iteration(config, sensor, state, bank, batch_lab, batch_unlab, y_count, epo
 
 
 def _contrast(config, params, bank, views, y_count, rng_anchor, rng_proto, rng_em):
-    """Contrastive loss and pool class sets from per view (hidden parts, predictions, targets,
+    """Contrastive loss and pool class sets from per view (hidden, predictions, targets,
     confidences); the projector sees only the anchors (taped) and pool rows (detached)."""
     mined = [gmm_mod.mine_anchors(h, p, t, config.anchor_cap, rng_anchor) for h, p, t, _ in views]
     anchors = [replace(a, z=model_mod.project_embed(w, a.z)) for w, a in zip(params, mined)]
@@ -323,14 +323,11 @@ def _contrast(config, params, bank, views, y_count, rng_anchor, rng_proto, rng_e
                                     config.prototypes_per_class, TEMPERATURE, rng_proto)
     labels, conf = (np.concatenate([v[i] for v in views]) for i in (2, 3))
     rows = gmm_mod.pool_rows(labels, config.embed_subsample_cap, rng_em, y_count)
-    # the pool numbers rows over both views' parts; rows ascend, so each part's are one run
-    hidden = [h.data for v in views for h in v[0]]
-    starts = np.cumsum([0] + [h.shape[0] for h in hidden])
-    cuts = np.searchsorted(rows, starts)
-    picked = [h[rows[a:b] - s] for h, s, a, b in zip(hidden, starts, cuts, cuts[1:])]
-    n = len(views[0][0])
-    z = [model_mod.project_embed(w, np.concatenate(p)).data
-         for w, p in zip(params, (picked[:n], picked[n:]))]
+    # the pool numbers rows over both views; rows ascend, so the range view's come first
+    first = views[0][0].data.shape[0]
+    cut = np.searchsorted(rows, first)
+    z = [model_mod.project_embed(w, v[0].data[r]).data
+         for w, v, r in zip(params, views, (rows[:cut], rows[cut:] - first))]
     return loss, gmm_mod.collect_embeddings(np.concatenate(z), labels[rows], conf[rows])
 
 

@@ -222,6 +222,28 @@ def test_set_supervised_loss_matches_reference():
         assert _fd_gradient_errors(lambda: set_supervised_loss(x, targets, slices), x) < 1e-4
 
 
+@pytest.mark.parametrize("first, last", [(0, 2), (2, 4), (3, 5)],
+                         ids=["start", "middle", "end"])
+def test_set_supervised_loss_reads_only_its_window(first, last):
+    # scans of 3, 0, 4, 2 and 5 rows; the start window holds the empty scan
+    stops = np.cumsum([3, 0, 4, 2, 5]).tolist()
+    scans = list(zip([0] + stops[:-1], stops))
+    rng = np.random.default_rng(11)
+    logits = rng.normal(size=(stops[-1], 4))
+    targets = rng.integers(0, 4, size=stops[-1])
+    slices = scans[first:last]
+    lo, hi = slices[0][0], slices[-1][1]
+    x, part = T(logits), T(logits[lo:hi])
+    got = set_supervised_loss(x, targets, slices)
+    want = set_supervised_loss(part, targets[lo:hi], [(a - lo, b - lo) for a, b in slices])
+    assert got.data.tobytes() == want.data.tobytes()
+    got.backward()
+    want.backward()
+    assert x.grad[lo:hi].tobytes() == part.grad.tobytes()
+    outside = np.delete(x.grad, np.arange(lo, hi), axis=0)
+    assert outside.size and (outside == 0).all() and not np.signbit(outside).any()
+
+
 def per_segment_lovasz(probs, targets, slices):
     """The Lovasz half as one argsort per (scan, present class) segment, on
     the tape: the form the per-scan block sort must equal bit for bit."""

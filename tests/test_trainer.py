@@ -251,12 +251,11 @@ def test_iteration_zero_component_isolation():
 
 def project_every_row_contrast(config, params, bank, views, y_count, rng_anchor, rng_proto,
                                rng_em, pool_log):
-    """Reference for `trainer._contrast`: stack each view's hidden parts, project every
-    row of both views, mine the anchors on the embeddings, then pool per class from all
-    detached rows."""
+    """Reference for `trainer._contrast`: project every row of both views first, mine
+    the anchors on the embeddings, then pool per class from all detached rows."""
     anchor_sets, z = [], []
     for k, (hidden, preds, targets, _) in enumerate(views):
-        emb = model_mod.project_embed(params[k], ad.concat_rows(hidden))
+        emb = model_mod.project_embed(params[k], hidden)
         anchor_sets.append(gmm_mod.mine_anchors(emb, preds, targets, config.anchor_cap,
                                                 rng_anchor))
         z.append(emb.data)
@@ -426,12 +425,47 @@ def test_training_projects_each_scan_once(monkeypatch, epochs):
     monkeypatch.setattr(trainer_mod, "project_to_voxel",
                         counted("voxel", trainer_mod.project_to_voxel))
     monkeypatch.setattr(PointScan, "__post_init__", counted("scans", PointScan.__post_init__))
-    cfg = small_config(epochs=epochs, warmup_epochs=0, use_cross_supervision=True,
-                       use_contrastive=True, use_augmentation=True)
-    _, _, metrics = train(cfg, SENSOR, lab, unlab, eval_scans=scans[6:])
-    assert metrics[-1]["loss_voxel_pseudo"] > 0      # the mixed voxel term ran
-    # one projection per labelled, unlabelled and eval scan; no scan built while training
-    assert calls == {"range": 8, "voxel": 8, "scans": 0}
+    # full row: one projection per labelled, unlabelled and eval scan; without cross
+    # supervision (sup, contrast only) no term reads an unlabelled scan, so none is projected
+    lab_and_eval = len(lab) + 2
+    for cross, ctr, aug, projected in ((True, True, True, 8),
+                                       (False, False, False, lab_and_eval),
+                                       (False, True, False, lab_and_eval)):
+        calls.update(range=0, voxel=0)
+        cfg = small_config(epochs=epochs, warmup_epochs=0, use_cross_supervision=cross,
+                           use_contrastive=ctr, use_augmentation=aug)
+        _, _, metrics = train(cfg, SENSOR, lab, unlab, eval_scans=scans[6:])
+        assert (metrics[-1]["loss_voxel_pseudo"] > 0) == cross   # the pseudo terms ran
+        # no scan built while training
+        assert calls == {"range": projected, "voxel": projected, "scans": 0}
+
+
+@pytest.mark.parametrize("row, calls", [("cross+ctr+aug", 4), ("cross", 2), ("sup", 2)])
+def test_iteration_runs_each_view_once_over_labelled_and_unlabelled_cells(
+        monkeypatch, row, calls):
+    # one clean pass per view over [labelled | unlabelled] cells, plus one mixed pass
+    # per view when augmenting
+    scans = tiny_dataset(4)
+    lab, unlab = split_dataset(scans, 0.5)
+    cfg = small_config(epochs=1, warmup_epochs=0, **dict(ABLATION_ROWS)[row])
+    state = model_mod.init_model(scans[0].num_features, scans[0].num_classes, cfg.hidden_range,
+                                 cfg.hidden_voxel, cfg.embed_dim, seed=0)
+    bank = gmm_mod.new_bank(scans[0].num_classes, cfg.gmm_components, cfg.embed_dim)
+    batch_lab = trainer_mod._prepare(lab, SENSOR)
+    batch_unlab = trainer_mod._prepare(unlab, SENSOR, with_targets=False) \
+        if cfg.use_cross_supervision else []
+    seen = {"trunk_hidden": [], "segment_logits": []}
+    for name, rows in seen.items():
+        fn = getattr(model_mod, name)
+        monkeypatch.setattr(model_mod, name, lambda view, x, fn=fn, rows=rows: rows.append(
+            getattr(x, "data", x).shape[0]) or fn(view, x))
+    rngs = [np.random.default_rng(s) for s in (7, 8, 9)]
+    trainer_mod._iteration(cfg, SENSOR, state, bank, batch_lab, batch_unlab,
+                           scans[0].num_classes, 0, 0, 0.05, None, *rngs)
+    assert len(seen["trunk_hidden"]) == len(seen["segment_logits"]) == calls
+    # the clean passes come first, each over every labelled and unlabelled cell
+    for k, rows in enumerate(seen["trunk_hidden"][:2]):
+        assert rows == sum(b.grids[k].cells.shape[0] for b in batch_lab + batch_unlab)
 
 
 def test_predict_point_probs_are_distributions():
